@@ -30,16 +30,16 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment: all, table1, table4, table5, fig6, fig7, table6, fig8, fig9")
-		frames    = flag.Int("frames", 48, "frames per stream (paper: 240)")
-		scale     = flag.Int("scale", 2, "resolution divisor (paper: 1)")
-		seed      = flag.Int64("seed", 1, "content generator seed (results are reproducible per seed)")
-		verbose   = flag.Bool("v", false, "progress logging")
+		exp         = flag.String("exp", "all", "experiment: all, table1, table4, table5, fig6, fig7, table6, fig8, fig9")
+		frames      = flag.Int("frames", 48, "frames per stream (paper: 240)")
+		scale       = flag.Int("scale", 2, "resolution divisor (paper: 1)")
+		seed        = flag.Int64("seed", 1, "content generator seed (results are reproducible per seed)")
+		verbose     = flag.Bool("v", false, "progress logging")
 		chaos       = flag.Bool("chaos", false, "run the fault-tolerance sweep: every configuration with recovery armed and a decoder kill, with the recovery breakdown per run")
 		chaosKill   = flag.Bool("chaos-kill", true, "chaos mode: inject one decoder kill per run")
 		chaosPooled = flag.Bool("chaos-pooled", false, "chaos mode: arm buffer pooling (recovery composes with slab refcounting)")
-		jsonMode  = flag.Bool("json", false, "run the continuous-benchmark suite and write BENCH_<date>.json")
-		jsonOut   = flag.String("json-out", "", "output path for -json (default BENCH_<date>.json)")
+		jsonMode    = flag.Bool("json", false, "run the continuous-benchmark suite and write BENCH_<date>.json")
+		jsonOut     = flag.String("json-out", "", "output path for -json (default BENCH_<date>.json)")
 	)
 	flag.Parse()
 

@@ -47,7 +47,7 @@ func TestReaderUnderflow(t *testing.T) {
 }
 
 func TestPeekNearEnd(t *testing.T) {
-	// Buffers shorter than 8 bytes exercise the slow path.
+	// Buffers shorter than 8 bytes are read from the zero-padded tail copy.
 	r := NewReader([]byte{0xAB, 0xCD})
 	if got := r.Peek(16); got != 0xABCD {
 		t.Fatalf("peek16 = %04x, want abcd", got)
@@ -258,7 +258,7 @@ func BenchmarkReaderRead8(b *testing.B) {
 	r := NewReader(data)
 	b.SetBytes(1)
 	for i := 0; i < b.N; i++ {
-		if r.Remaining() < 8 {
+		if r.Len()-r.BitPos() < 8 {
 			r.Reset(data)
 		}
 		r.Read(8)

@@ -11,6 +11,7 @@
 package bits
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -35,11 +36,20 @@ type Reader struct {
 	data []byte
 	pos  int // absolute bit position from the start of data
 	err  error
+
+	// tail is a zero-padded copy of the last (up to) 8 bytes of data,
+	// starting at byte tailBase, so a lookahead within 8 bytes of the end is
+	// the same single 8-byte load as anywhere else.
+	tail     [16]byte
+	tailBase int
 }
 
-// NewReader returns a Reader over data. The Reader does not copy data.
+// NewReader returns a Reader over data. The Reader does not copy data (apart
+// from its last 8 bytes), so data must not change while the Reader is in use.
 func NewReader(data []byte) *Reader {
-	return &Reader{data: data}
+	r := new(Reader)
+	r.Reset(data)
+	return r
 }
 
 // Reset re-points the reader at data and clears position and error state.
@@ -47,6 +57,9 @@ func (r *Reader) Reset(data []byte) {
 	r.data = data
 	r.pos = 0
 	r.err = nil
+	r.tailBase = max(len(data)-8, 0)
+	r.tail = [16]byte{}
+	copy(r.tail[:], data[r.tailBase:])
 }
 
 // Err reports the first underflow encountered, if any.
@@ -67,38 +80,33 @@ func (r *Reader) SeekBit(pos int) {
 // Len returns the total length of the underlying buffer in bits.
 func (r *Reader) Len() int { return len(r.data) * 8 }
 
-// Remaining returns the number of unread bits.
-func (r *Reader) Remaining() int { return len(r.data)*8 - r.pos }
-
 // Byte-aligned reports whether the read position is on a byte boundary.
 func (r *Reader) ByteAligned() bool { return r.pos&7 == 0 }
 
-// Peek returns the next n bits (0 <= n <= 32) without advancing. Bits past
-// the end of the buffer read as zero; Err is not set by Peek so that VLC
-// lookahead near the end of a buffer does not poison the reader.
+// Peek32 returns the next 32 bits, MSB first, without advancing. Bits past
+// the end of the buffer read as zero and Err is not set, so VLC lookahead
+// near the end of a buffer does not poison the reader. It is one 8-byte
+// load and inlines: a variable-length decoder takes a codeword and all of
+// its trailing fixed-width fields from one Peek32 and then advances once
+// with Skip.
+func (r *Reader) Peek32() uint32 {
+	i := r.pos >> 3
+	var b []byte
+	if i+8 <= len(r.data) {
+		b = r.data[i:]
+	} else {
+		b = r.tail[i-r.tailBase:]
+	}
+	return uint32(binary.BigEndian.Uint64(b) << (r.pos & 7) >> 32)
+}
+
+// Peek returns the next n bits (0 <= n <= 32) without advancing, with the
+// end-of-buffer behaviour of Peek32. Widths outside [0, 32] return zero.
 func (r *Reader) Peek(n int) uint32 {
 	if n <= 0 || n > 32 {
 		return 0
 	}
-	byteIdx := r.pos >> 3
-	bitOff := uint(r.pos & 7)
-	// Fast path: the 8 bytes starting at byteIdx are in bounds, so a single
-	// 64-bit load covers any (bitOff, n<=32) combination.
-	if byteIdx+8 <= len(r.data) {
-		b := r.data[byteIdx:]
-		w := uint64(b[0])<<56 | uint64(b[1])<<48 | uint64(b[2])<<40 | uint64(b[3])<<32 |
-			uint64(b[4])<<24 | uint64(b[5])<<16 | uint64(b[6])<<8 | uint64(b[7])
-		return uint32(w << bitOff >> (64 - uint(n)))
-	}
-	// Slow path near the end of the buffer: missing bytes read as zero.
-	var w uint64
-	for i := 0; i < 8; i++ {
-		w <<= 8
-		if byteIdx+i < len(r.data) {
-			w |= uint64(r.data[byteIdx+i])
-		}
-	}
-	return uint32(w << bitOff >> (64 - uint(n)))
+	return r.Peek32() >> (32 - uint(n))
 }
 
 // Read returns the next n bits (0 <= n <= 32) and advances. On underflow it
@@ -110,14 +118,8 @@ func (r *Reader) Read(n int) uint32 {
 		}
 		return 0
 	}
-	v := r.Peek(n)
-	r.pos += n
-	if r.pos > len(r.data)*8 {
-		r.pos = len(r.data) * 8
-		if r.err == nil {
-			r.err = ErrUnderflow
-		}
-	}
+	v := r.Peek32() >> (32 - uint(n)) // a shift by 32 yields 0 for n = 0
+	r.Skip(n)
 	return v
 }
 

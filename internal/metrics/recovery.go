@@ -34,9 +34,9 @@ func (r *Recovery) AddRestart()    { atomic.AddInt64(&r.Restarts, 1) }
 func (r *Recovery) AddReplayed(n int) {
 	atomic.AddInt64(&r.ReplayedPictures, int64(n))
 }
-func (r *Recovery) AddConcealedFrame()   { atomic.AddInt64(&r.ConcealedFrames, 1) }
+func (r *Recovery) AddConcealedFrame()    { atomic.AddInt64(&r.ConcealedFrames, 1) }
 func (r *Recovery) AddConcealedMBs(n int) { atomic.AddInt64(&r.ConcealedMBs, int64(n)) }
-func (r *Recovery) AddAckTimeout()       { atomic.AddInt64(&r.AckTimeouts, 1) }
+func (r *Recovery) AddAckTimeout()        { atomic.AddInt64(&r.AckTimeouts, 1) }
 
 // RecoverySnapshot is a plain-value copy of the counters.
 type RecoverySnapshot struct {

@@ -12,14 +12,15 @@ import (
 //
 //   - end of block (EOB), encoded here as run = eobRun;
 //   - escape, a fixed 6-bit code followed by 6-bit run and 12-bit signed
-//     level, handled outside the table.
+//     level; the table only marks the code, and decode reads the fields.
 //
 // Table B-14 additionally gives run 0 / level 1 a 1-bit code ("1"+sign) when
 // it is the first coefficient of a block, where EOB ("10") cannot occur.
 const (
-	eobRun       = -1
-	dctEscape    = "0000 01"
-	dctEscapeLen = 6
+	eobRun        = -1
+	dctEscape     = "0000 01"
+	dctEscapeLen  = 6
+	dctEscapeBits = dctEscapeLen + 6 + 12 // code, run and level
 )
 
 type dctSpec struct {
@@ -38,34 +39,43 @@ const (
 	dctEsc     = -3
 )
 
+// dctFlatBits is the length of the longest DCT codeword in any table (sign
+// bit and escape fields not counted).
+const dctFlatBits = 16
+
+// dctTable decodes with two small lookup tables instead of one flat
+// 2^16-entry table — 1280 three-byte entries, under 4 KiB per table — so
+// all three coefficient tables stay L1-resident. The split rests on
+// an invariant of tables B-14 and B-15 that buildDCT checks at init: every
+// codeword whose first six bits are not all zero is at most 8 bits long.
+//
+//   - hi is indexed by the next 8 bits and serves every lookahead whose first
+//     six bits are not all zero (the escape code included);
+//   - lo is indexed by the next 16 bits when the first six are zero, which
+//     leaves only 10 significant bits.
 type dctTable struct {
-	maxLen int
-	lut    []dctEntry
-	enc    map[uint16]vlcCode // run<<8|level -> code (without sign bit)
-	eob    vlcCode            // end-of-block code (zero for tables without one)
+	hi  [256]dctEntry
+	lo  [1 << (dctFlatBits - 6)]dctEntry
+	enc map[uint16]vlcCode // run<<8|level -> code (without sign bit)
+	eob vlcCode            // end-of-block code (zero for tables without one)
 }
 
-func buildDCT(name string, specs []dctSpec) *dctTable {
-	maxLen := dctEscapeLen
-	for _, s := range specs {
-		if _, n := parseCode(s.code); n > maxLen {
-			maxLen = n
-		}
-	}
-	t := &dctTable{
-		maxLen: maxLen,
-		lut:    make([]dctEntry, 1<<uint(maxLen)),
-		enc:    make(map[uint16]vlcCode, len(specs)),
-	}
-	for i := range t.lut {
-		t.lut[i].run = dctInvalid
+// flatDCT compiles specs plus the escape code into a flat table indexed by
+// the next dctFlatBits bits.
+func flatDCT(name string, specs []dctSpec) []dctEntry {
+	lut := make([]dctEntry, 1<<dctFlatBits)
+	for i := range lut {
+		lut[i].run = dctInvalid
 	}
 	insert := func(code string, run, level int) {
 		c, n := parseCode(code)
-		base := c << uint(maxLen-n)
-		span := 1 << uint(maxLen-n)
+		if n > dctFlatBits {
+			panic(fmt.Sprintf("mpeg2: DCT table %s code %q longer than %d bits", name, code, dctFlatBits))
+		}
+		base := c << uint(dctFlatBits-n)
+		span := 1 << uint(dctFlatBits-n)
 		for i := 0; i < span; i++ {
-			slot := &t.lut[base+uint32(i)]
+			slot := &lut[base+uint32(i)]
 			if slot.run != dctInvalid {
 				panic(fmt.Sprintf("mpeg2: DCT table %s not prefix-free at %q", name, code))
 			}
@@ -76,8 +86,32 @@ func buildDCT(name string, specs []dctSpec) *dctTable {
 	}
 	for _, s := range specs {
 		insert(s.code, s.run, s.level)
+	}
+	insert(dctEscape, dctEsc, 0)
+	return lut
+}
+
+func buildDCT(name string, specs []dctSpec) *dctTable {
+	t := &dctTable{enc: make(map[uint16]vlcCode, len(specs))}
+	flat := flatDCT(name, specs)
+	copy(t.lo[:], flat)
+	for i := range t.hi {
+		if i < 1<<2 {
+			// First six bits zero: lo's range.
+			t.hi[i].run = dctInvalid
+			continue
+		}
+		span := flat[i<<8 : (i+1)<<8]
+		for _, e := range span {
+			if e != span[0] {
+				panic(fmt.Sprintf("mpeg2: DCT table %s has a code longer than 8 bits under prefix %08b", name, i))
+			}
+		}
+		t.hi[i] = span[0]
+	}
+	for _, s := range specs {
+		c, n := parseCode(s.code)
 		if s.run == eobRun {
-			c, n := parseCode(s.code)
 			t.eob = vlcCode{bits: c, n: uint8(n)}
 		}
 		if s.run >= 0 {
@@ -85,11 +119,9 @@ func buildDCT(name string, specs []dctSpec) *dctTable {
 			if _, dup := t.enc[key]; dup {
 				panic(fmt.Sprintf("mpeg2: DCT table %s duplicate run/level %d/%d", name, s.run, s.level))
 			}
-			c, n := parseCode(s.code)
 			t.enc[key] = vlcCode{bits: c, n: uint8(n)}
 		}
 	}
-	insert(dctEscape, dctEsc, 0)
 	return t
 }
 
@@ -106,13 +138,28 @@ func (t *dctTable) code(run, level int) (vlcCode, bool) {
 	return c, ok
 }
 
-// decode reads one DCT symbol. It returns:
+// entry returns the table slot for the codeword at the top of the 32-bit
+// lookahead w.
+func (t *dctTable) entry(w uint32) dctEntry {
+	if w >= 1<<26 {
+		return t.hi[w>>24]
+	}
+	return t.lo[w>>16&(1<<(dctFlatBits-6)-1)]
+}
+
+// decode reads one DCT symbol from a single 32-bit lookahead and advances
+// once: the codeword, its sign bit, or the whole escape (6-bit code, 6-bit
+// run, 12-bit signed level) all fit in the word. It returns:
 //
 //	eob=true                  — end of block
 //	run, level (signed)       — a coefficient
 //	ok=false                  — invalid code
+//
+// An escape with a forbidden level (0 or -2048) is consumed before it is
+// rejected, so the error reports the bit position after it.
 func (t *dctTable) decode(r *bits.Reader) (run, level int, eob, ok bool) {
-	e := t.lut[r.Peek(t.maxLen)]
+	w := r.Peek32()
+	e := t.entry(w)
 	switch e.run {
 	case dctInvalid:
 		return 0, 0, false, false
@@ -120,24 +167,17 @@ func (t *dctTable) decode(r *bits.Reader) (run, level int, eob, ok bool) {
 		r.Skip(int(e.len))
 		return 0, 0, true, true
 	case dctEsc:
-		r.Skip(dctEscapeLen)
-		run = int(r.Read(6))
-		lv := int32(r.Read(12))
-		if lv&0x800 != 0 {
-			lv -= 0x1000
-		}
+		r.Skip(dctEscapeBits)
+		lv := int32(w<<12) >> 20
 		if lv == 0 || lv == -2048 {
-			// Forbidden escape levels in MPEG-2.
 			return 0, 0, false, false
 		}
-		return run, int(lv), false, true
+		return int(w >> 20 & 63), int(lv), false, true
 	}
-	r.Skip(int(e.len))
-	run, level = int(e.run), int(e.level)
-	if r.ReadBit() != 0 {
-		level = -level
-	}
-	return run, level, false, true
+	r.Skip(int(e.len) + 1)
+	// The sign bit follows the codeword; s is 0 or -1.
+	s := int(int32(w<<e.len) >> 31)
+	return int(e.run), (int(e.level) ^ s) - s, false, true
 }
 
 // b14Specs is Table B-14 ("DCT coefficients table zero"). The first-

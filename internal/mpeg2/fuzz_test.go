@@ -2,6 +2,7 @@ package mpeg2_test
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -82,6 +83,13 @@ func FuzzPictureHeader(f *testing.F) {
 // macroblock-type, CBP, motion and DCT coefficient tables get hit. The slice
 // decoder must terminate with a typed error or a complete slice — never
 // panic, never loop.
+//
+// The slice is parsed twice, by a full decoder and by a parse-only one (the
+// splitter's mode, which stores no coefficients). They must agree
+// macroblock by macroblock — address, bit boundaries, flags, CBP, motion
+// vectors, predictor state, AC masks up to the full path's mismatch-control
+// bit — and on whether and where an error occurs: the splitter's bit
+// boundaries are only valid if they are the decoder's.
 func FuzzVLC(f *testing.F) {
 	st, err := mpeg2.ParseStream(fuzzStream())
 	if err != nil {
@@ -95,6 +103,12 @@ func FuzzVLC(f *testing.F) {
 		}
 	}
 	f.Add([]byte{0x05}, []byte{0x0a, 0xff, 0x00, 0x12})
+	// An I macroblock whose first intra block escapes to run 63: the run
+	// passes the block end, which both decoders must reject alike.
+	f.Add([]byte{0x00}, []byte{0x2b, 0x80, 0xfe, 0x00, 0x3f})
+	// The same past a non-intra block's end: a P macroblock whose first
+	// block escapes to run 63 and then codes one more coefficient.
+	f.Add([]byte{0x01}, []byte{0x2b, 0xf8, 0x3f, 0x80, 0x0e})
 	f.Fuzz(func(t *testing.T, sel []byte, data []byte) {
 		if len(sel) < 1 {
 			return
@@ -120,28 +134,66 @@ func FuzzVLC(f *testing.F) {
 			requireTyped(t, err)
 			return
 		}
-		r := bits.NewReader(data)
-		sd, err := mpeg2.NewSliceDecoder(ctx, r, 1+int(flags>>7)*2)
+		vpos := 1 + int(flags>>7)*2
+		rF, rP := bits.NewReader(data), bits.NewReader(data)
+		full, err := mpeg2.NewSliceDecoder(ctx, rF, vpos)
 		if err != nil {
 			requireTyped(t, err)
 			return
 		}
-		var mb mpeg2.Macroblock
+		parse, err := mpeg2.NewSliceDecoder(ctx, rP, vpos)
+		if err != nil {
+			t.Fatalf("second slice header parse failed: %v", err)
+		}
+		parse.SetParseOnly(true)
+		var mbF, mbP mpeg2.Macroblock
 		limit := ctx.MBW*ctx.MBH + 2
 		for i := 0; ; i++ {
 			if i > limit {
 				t.Fatalf("slice decoder did not terminate within %d macroblocks", limit)
 			}
-			ok, err := sd.Next(&mb)
-			if err != nil {
-				requireTyped(t, err)
+			okF, errF := full.Next(&mbF)
+			okP, errP := parse.Next(&mbP)
+			if (errF == nil) != (errP == nil) || errF != nil && errF.Error() != errP.Error() ||
+				rF.BitPos() != rP.BitPos() {
+				t.Fatalf("macroblock %d: full decode error %v at bit %d, parse-only error %v at bit %d",
+					i, errF, rF.BitPos(), errP, rP.BitPos())
+			}
+			if errF != nil {
+				requireTyped(t, errF)
 				return
 			}
-			if !ok {
+			if okF != okP {
+				t.Fatalf("macroblock %d: full decode more=%v, parse-only more=%v", i, okF, okP)
+			}
+			if !okF {
 				return
+			}
+			if mbP.Blocks != nil {
+				t.Fatalf("macroblock %d: parse-only decode exposed coefficient blocks", i)
+			}
+			if d := mbDiff(mbF, mbP); d != "" {
+				t.Fatalf("macroblock %d: full and parse-only disagree on %s", i, d)
 			}
 		}
 	})
+}
+
+// mbDiff names the first parse result on which a full decode (f) and a
+// parse-only decode (p) of the same macroblock disagree, or returns "". The
+// full path's AC mask may additionally carry row 7 (0x80) from mismatch
+// control toggling coefficient 63; nothing else may differ.
+func mbDiff(f, p mpeg2.Macroblock) string {
+	for i := range f.ACMask {
+		if f.ACMask[i]&^0x80 != p.ACMask[i]&^0x80 || p.ACMask[i]&^f.ACMask[i] != 0 {
+			return fmt.Sprintf("ACMask[%d] (%#x vs %#x)", i, f.ACMask[i], p.ACMask[i])
+		}
+	}
+	f.ACMask, f.Blocks = p.ACMask, p.Blocks
+	if f != p {
+		return fmt.Sprintf("fields (%+v vs %+v)", f, p)
+	}
+	return ""
 }
 
 // FuzzDecodePictureUnit runs full picture reconstruction — VLD, dequant,

@@ -3,6 +3,8 @@ package mpeg2
 import (
 	"math/rand"
 	"testing"
+
+	"tiledwall/internal/bits"
 )
 
 // Kernel benchmarks for the hot-path overhaul: the three IDCT coefficient
@@ -86,5 +88,81 @@ func BenchmarkMotionCompHVRef(b *testing.B) {
 	b.SetBytes(16 * 16)
 	for i := 0; i < b.N; i++ {
 		samplePlaneRef(dst, 16, 16, src, stride, stride*4+8, 1, 1)
+	}
+}
+
+// SliceVLDStream supplies the stream BenchmarkSliceVLD parses. The encoder
+// imports this package, so an internal test cannot encode one; the external
+// test package installs the generator at init (vld_stream_test.go).
+var SliceVLDStream func() []byte
+
+// BenchmarkSliceVLD runs the slice parser over every slice of every picture
+// unit of a short real stream (one I, one P and two B pictures): "full" is
+// the decoders' pass, which places and dequantises coefficients; "parse" is
+// the splitter's parse-only pass, which only needs macroblock bit
+// boundaries, predictor state and AC masks.
+//
+//	go test -run '^$' -bench SliceVLD -benchmem ./internal/mpeg2/
+func BenchmarkSliceVLD(b *testing.B) {
+	if SliceVLDStream == nil {
+		b.Skip("no stream generator installed")
+	}
+	st, err := ParseStream(SliceVLDStream())
+	if err != nil {
+		b.Fatal(err)
+	}
+	type picture struct {
+		ctx    PictureContext
+		unit   []byte
+		slices []SliceRef
+	}
+	pics := make([]picture, len(st.Pictures))
+	bytes := 0
+	for i, unit := range st.Pictures {
+		ph, off, err := ParsePictureUnit(unit)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p := &pics[i]
+		if err := p.ctx.Init(st.Seq, ph); err != nil {
+			b.Fatal(err)
+		}
+		p.unit = unit
+		p.slices = IndexSlices(st.Seq, unit, off, nil)
+		bytes += len(unit)
+	}
+	for _, mode := range []struct {
+		name      string
+		parseOnly bool
+	}{{"full", false}, {"parse", true}} {
+		b.Run(mode.name, func(b *testing.B) {
+			var (
+				sd SliceDecoder
+				r  bits.Reader
+				mb Macroblock
+			)
+			b.ReportAllocs()
+			b.SetBytes(int64(bytes))
+			for i := 0; i < b.N; i++ {
+				for p := range pics {
+					pic := &pics[p]
+					for _, ref := range pic.slices {
+						if err := sd.ResetFullAt(&pic.ctx, &r, pic.unit, ref); err != nil {
+							b.Fatal(err)
+						}
+						sd.SetParseOnly(mode.parseOnly)
+						for {
+							ok, err := sd.Next(&mb)
+							if err != nil {
+								b.Fatal(err)
+							}
+							if !ok {
+								break
+							}
+						}
+					}
+				}
+			}
+		})
 	}
 }

@@ -70,7 +70,10 @@ type Macroblock struct {
 	// ACMask holds, per block, the conservative nonzero-row mask driving the
 	// fast IDCT dispatch (see IDCTFast): bit r set when a coefficient at
 	// raster positions 8r..8r+7 — excluding the DC term at position 0 — may
-	// be nonzero. Meaningless in parse-only mode.
+	// be nonzero. Parse-only mode reports the same mask except for the
+	// mismatch-control bit: there, row 7 is set only when a coefficient was
+	// coded in it, not when the toggle of coefficient 63 alone made it
+	// nonzero.
 	ACMask [6]uint8
 }
 

@@ -95,9 +95,17 @@ func buildVLC(name string, specs []vlcSpec) *vlcTable {
 	return t
 }
 
-// decode reads one codeword; ok is false for an invalid code.
+// lookup returns the table slot for the codeword at the top of the 32-bit
+// lookahead w. Callers whose codeword is followed by fixed-width fields take
+// those from the same w and advance once.
+func (t *vlcTable) lookup(w uint32) vlcEntry {
+	return t.lut[w>>(32-uint(t.maxLen))]
+}
+
+// decode reads one codeword from a single 32-bit lookahead; ok is false for
+// an invalid code.
 func (t *vlcTable) decode(r *bits.Reader) (val int, ok bool) {
-	e := t.lut[r.Peek(t.maxLen)]
+	e := t.lookup(r.Peek32())
 	if e.len == 0 {
 		return 0, false
 	}

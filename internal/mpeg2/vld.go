@@ -168,8 +168,10 @@ func (d *SliceDecoder) ResetPartial(ctx *PictureContext, r *bits.Reader, st Pred
 	d.firstAddr = firstAddr
 }
 
-// SetParseOnly disables coefficient retention and dequantisation; used by
-// the splitter, which only needs bit boundaries and state snapshots.
+// SetParseOnly makes the coefficient parse store nothing (it still runs every
+// syntax check and reports the same bit boundaries, CBP, AC masks and
+// errors); used by the splitter, which only needs bit boundaries and state
+// snapshots.
 func (d *SliceDecoder) SetParseOnly(v bool) { d.parseOnly = v }
 
 // State returns the current prediction state (after the last parsed
@@ -184,16 +186,9 @@ func (d *SliceDecoder) PrevMotion() MotionInfo { return d.prevMotion }
 // run of at least 23 zero bits marks the byte-stuffing before the next start
 // code, and when fewer bits remain (the indexed picture unit excludes the
 // following start code) the slice ends once only alignment zeros are left.
+// Bits past the end of the buffer read as zero, so one lookahead covers both.
 func (d *SliceDecoder) atSliceEnd() bool {
-	rem := d.r.Remaining()
-	if rem == 0 {
-		return true
-	}
-	n := rem
-	if n > 23 {
-		n = 23
-	}
-	return d.r.Peek(n) == 0
+	return d.r.Peek32() < 1<<(32-23)
 }
 
 // Next parses the next coded macroblock into mb. It returns false at the end
@@ -351,7 +346,14 @@ func (d *SliceDecoder) Next(mb *Macroblock) (bool, error) {
 
 	mb.BitEnd = r.BitPos()
 	d.mbAddr = mb.Addr
-	d.prevMotion = mb.Motion()
+	// Field by field rather than d.prevMotion = mb.Motion(): the composite
+	// literal is built on the stack with byte stores and then copied with
+	// wider loads, a store-forwarding stall on every macroblock.
+	pm := &d.prevMotion
+	pm.Fwd = mb.Flags&MBMotionFwd != 0
+	pm.Bwd = mb.Flags&MBMotionBwd != 0
+	pm.MVFwd = mb.MVFwd
+	pm.MVBwd = mb.MVBwd
 	d.first = false
 	if d.partial {
 		d.remaining--
@@ -368,25 +370,27 @@ func (d *SliceDecoder) motionVector(s int, out *[2]int32) error {
 		if fcode < 1 || fcode > 9 {
 			return syntaxErrf("f_code[%d][%d]=%d out of range", s, t, fcode)
 		}
-		mag, ok := motionCodeTable.decode(d.r)
-		if !ok {
+		rSize := uint(fcode - 1)
+		// motion_code, its sign and motion_residual (at most 11 + 1 + 8
+		// bits) come from one lookahead.
+		look := d.r.Peek32()
+		e := motionCodeTable.lookup(look)
+		if e.len == 0 {
 			return syntaxErrf("bad motion_code at bit %d", d.r.BitPos())
 		}
+		used := uint(e.len)
 		var delta int32
-		if mag != 0 {
-			neg := d.r.ReadBit() == 1
-			rSize := uint(fcode - 1)
-			f := int32(1) << rSize
-			residual := int32(0)
-			if fcode > 1 {
-				residual = int32(d.r.Read(int(rSize)))
-			}
-			delta = (int32(mag)-1)*f + residual + 1
+		if mag := int32(e.val); mag != 0 {
+			neg := look<<used>>31 == 1
+			used++
+			residual := int32(look << used >> (32 - rSize))
+			used += rSize
+			delta = (mag-1)<<rSize + residual + 1
 			if neg {
 				delta = -delta
 			}
 		}
-		rSize := uint(fcode - 1)
+		d.r.Skip(int(used))
 		f := int32(1) << rSize
 		high := 16*f - 1
 		low := -16 * f
@@ -404,8 +408,12 @@ func (d *SliceDecoder) motionVector(s int, out *[2]int32) error {
 	return nil
 }
 
-// intraBlock parses and dequantises intra block i (0..3 luma, 4 Cb, 5 Cr).
-// The returned mask is the block's conservative AC occupancy (see ACMask).
+// intraBlock parses intra block i (0..3 luma, 4 Cb, 5 Cr). Unless the
+// decoder is parse-only it writes each coefficient into blk (zeroed by the
+// caller) already dequantised and saturated, keeping the mismatch-control
+// parity as it goes; a parse-only decoder stores nothing but runs every
+// check. The returned mask is the block's conservative AC occupancy (see
+// ACMask).
 func (d *SliceDecoder) intraBlock(i int, blk *[64]int32) (uint8, error) {
 	r := d.r
 	pic := d.ctx.Pic
@@ -415,27 +423,42 @@ func (d *SliceDecoder) intraBlock(i int, blk *[64]int32) (uint8, error) {
 		comp = i - 3
 		table = dcSizeChromaTable
 	}
-	size, ok := table.decode(r)
-	if !ok {
+	// dct_dc_size and the dc_dct_differential that follows it (at most
+	// 10 + 11 bits) come from one lookahead.
+	look := r.Peek32()
+	e := table.lookup(look)
+	if e.len == 0 {
 		return 0, syntaxErrf("bad dct_dc_size at bit %d", r.BitPos())
 	}
+	size := uint(e.val)
 	var diff int32
 	if size > 0 {
-		v := int32(r.Read(size))
-		if v < 1<<uint(size-1) {
-			diff = v - (1 << uint(size)) + 1
+		v := int32(look << e.len >> (32 - size))
+		if v < 1<<(size-1) {
+			diff = v - (1 << size) + 1
 		} else {
 			diff = v
 		}
 	}
+	r.Skip(int(e.len) + int(size))
 	d.state.DCPred[comp] += diff
-	blk[0] = d.state.DCPred[comp]
+
+	store := !d.parseOnly
+	w := &d.ctx.Seq.IntraQ
+	qs2 := 2 * QuantiserScale(d.state.QuantCode, pic.QScaleType)
+	var parity int32
+	if store {
+		dc := d.state.DCPred[comp] << pic.DCShift()
+		blk[0] = dc
+		parity = dc
+	}
 
 	var mask uint8
+	tab := d.ctx.intraDCT
 	scan := d.ctx.scan
 	n := 1
 	for {
-		run, level, eob, ok := d.ctx.intraDCT.decode(r)
+		run, level, eob, ok := tab.decode(r)
 		if !ok {
 			return 0, syntaxErrf("bad intra DCT code at bit %d", r.BitPos())
 		}
@@ -447,37 +470,39 @@ func (d *SliceDecoder) intraBlock(i int, blk *[64]int32) (uint8, error) {
 			return 0, syntaxErrf("intra DCT run past block end")
 		}
 		p := scan[n]
-		blk[p] = int32(level)
 		mask |= 1 << uint(p>>3) // n >= 1, so p != 0 (scan is a permutation)
+		if store {
+			v := saturateCoeff(int32(level) * int32(w[p]) * qs2 / 32)
+			blk[p] = v
+			parity ^= v
+		}
 		n++
 	}
-	if !d.parseOnly {
-		DequantIntra(blk, &d.ctx.Seq.IntraQ, QuantiserScale(d.state.QuantCode, pic.QScaleType), pic.DCShift())
-		// Mismatch control may have toggled qf[63] from zero to one.
-		if blk[63] != 0 {
-			mask |= 0x80
-		}
+	if store {
+		mismatchControl(blk, parity, &mask)
 	}
 	return mask, streamErr(r.Err())
 }
 
-// nonIntraBlock parses and dequantises a non-intra block. The returned mask
-// is the block's conservative AC occupancy (see ACMask).
+// nonIntraBlock parses a non-intra block with the storage and dequantisation
+// rules of intraBlock. The returned mask is the block's conservative AC
+// occupancy (see ACMask).
 func (d *SliceDecoder) nonIntraBlock(blk *[64]int32) (uint8, error) {
 	r := d.r
-	scan := d.ctx.scan
+	store := !d.parseOnly
+	w := &d.ctx.Seq.NonIntraQ
+	qs := QuantiserScale(d.state.QuantCode, d.ctx.Pic.QScaleType)
+	var parity int32
+
 	var mask uint8
+	scan := d.ctx.scan
 	n := 0
-	first := true
+	// The first coefficient of a non-intra block cannot be EOB, which frees
+	// the 1-bit code "1" for run 0 / level 1.
+	tab := dctTableB14First
 	for {
-		var run, level int
-		var eob, ok bool
-		if first {
-			run, level, eob, ok = dctTableB14First.decode(r)
-			first = false
-		} else {
-			run, level, eob, ok = dctTableB14.decode(r)
-		}
+		run, level, eob, ok := tab.decode(r)
+		tab = dctTableB14
 		if !ok {
 			return 0, syntaxErrf("bad DCT code at bit %d", r.BitPos())
 		}
@@ -491,18 +516,35 @@ func (d *SliceDecoder) nonIntraBlock(blk *[64]int32) (uint8, error) {
 		// Position 0 is the DC term, carried by blk[0] itself rather than the
 		// AC mask (non-intra coefficient 0 lands there via scan[0]).
 		p := scan[n]
-		blk[p] = int32(level)
 		if p != 0 {
 			mask |= 1 << uint(p>>3)
 		}
+		if store {
+			// level is never zero: escapes with level 0 are rejected.
+			k := 2*int32(level) + 1
+			if level < 0 {
+				k -= 2
+			}
+			v := saturateCoeff(k * int32(w[p]) * qs / 32)
+			blk[p] = v
+			parity ^= v
+		}
 		n++
 	}
-	if !d.parseOnly {
-		DequantNonIntra(blk, &d.ctx.Seq.NonIntraQ, QuantiserScale(d.state.QuantCode, d.ctx.Pic.QScaleType))
-		// Mismatch control may have toggled qf[63] from zero to one.
-		if blk[63] != 0 {
-			mask |= 0x80
-		}
+	if store {
+		mismatchControl(blk, parity, &mask)
 	}
 	return mask, streamErr(r.Err())
+}
+
+// mismatchControl applies §7.4.4 to a dequantised block whose coefficients
+// XOR to parity: when their sum is even, the LSB of coefficient 63 toggles.
+// A toggle may turn qf[63] from zero to one, which the AC mask then records.
+func mismatchControl(blk *[64]int32, parity int32, mask *uint8) {
+	if parity&1 == 0 {
+		blk[63] ^= 1
+	}
+	if blk[63] != 0 {
+		*mask |= 0x80
+	}
 }

@@ -9,7 +9,6 @@ import (
 	"tiledwall/internal/wall"
 )
 
-
 // step receives one sub-picture and dispatches it through the strict
 // protocol path, standing in for the deleted batch Step loop in these
 // single-decoder protocol tests.

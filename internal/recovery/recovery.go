@@ -57,7 +57,6 @@ type Config struct {
 	// bound stays dead and the run degrades to concealment (or stalls into
 	// the watchdog). Default: 3.
 	MaxRestarts int
-
 }
 
 // WithDefaults returns c with zero fields filled in.
