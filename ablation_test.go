@@ -7,7 +7,7 @@ import (
 	"tiledwall/internal/encoder"
 	"tiledwall/internal/experiments"
 	"tiledwall/internal/mpeg2"
-	"tiledwall/internal/system"
+	"tiledwall/internal/service"
 	"tiledwall/internal/video"
 )
 
@@ -26,7 +26,7 @@ func BenchmarkAblationOverlap(b *testing.B) {
 		ov := ov
 		b.Run(fmt.Sprintf("overlap%d", ov), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := system.Run(data, system.Config{K: 1, M: 2, N: 2, Overlap: ov})
+				res, err := service.Run(data, service.Config{K: 1, M: 2, N: 2, Overlap: ov})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -51,7 +51,7 @@ func BenchmarkAblationSPHOverhead(b *testing.B) {
 		c := c
 		b.Run(fmt.Sprintf("%dx%d", c[0], c[1]), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := system.Run(data, system.Config{K: 1, M: c[0], N: c[1]})
+				res, err := service.Run(data, service.Config{K: 1, M: c[0], N: c[1]})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -80,7 +80,7 @@ func BenchmarkAblationDynamicBalance(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := system.Run(data, system.Config{K: 3, M: 2, N: 2, DynamicBalance: dyn})
+				res, err := service.Run(data, service.Config{K: 3, M: 2, N: 2, DynamicBalance: dyn})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -168,7 +168,7 @@ func BenchmarkAblationMEIVolume(b *testing.B) {
 		c := c
 		b.Run(fmt.Sprintf("%dx%d", c[0], c[1]), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := system.Run(data, system.Config{K: 1, M: c[0], N: c[1]})
+				res, err := service.Run(data, service.Config{K: 1, M: c[0], N: c[1]})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -203,7 +203,7 @@ func BenchmarkAblationMEIBatching(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := system.Run(data, system.Config{K: 1, M: 4, N: 4, UnbatchedExchange: unbatched})
+				res, err := service.Run(data, service.Config{K: 1, M: 4, N: 4, UnbatchedExchange: unbatched})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -12,7 +12,6 @@ import (
 	"tiledwall/internal/experiments"
 	"tiledwall/internal/mpeg2"
 	"tiledwall/internal/service"
-	"tiledwall/internal/system"
 )
 
 func allocStream(t testing.TB) *mpeg2.Stream {
@@ -80,9 +79,9 @@ func TestPooledRecoveryWallAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := system.Config{K: 1, M: 2, N: 1, Pooled: true, SplitWorkers: 1}
+	cfg := service.Config{K: 1, M: 2, N: 1, Pooled: true, SplitWorkers: 1}
 	cfg.Recovery.Enabled = true
-	w, err := system.NewResidentWall(cfg)
+	w, err := service.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,7 @@ import (
 	"tiledwall/internal/experiments"
 	"tiledwall/internal/metrics"
 	"tiledwall/internal/mpeg2"
+	"tiledwall/internal/service"
 	"tiledwall/internal/system"
 )
 
@@ -107,7 +108,7 @@ func BenchmarkTable1Granularity(b *testing.B) {
 	}
 	b.Run("macroblock", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := system.Run(open, system.Config{K: 1, M: 2, N: 2})
+			res, err := service.Run(open, service.Config{K: 1, M: 2, N: 2})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -127,7 +128,7 @@ func BenchmarkTable5OneLevel(b *testing.B) {
 		c := c
 		b.Run(fmt.Sprintf("1-(%d,%d)", c[0], c[1]), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := system.Run(data, system.Config{K: 0, M: c[0], N: c[1]})
+				res, err := service.Run(data, service.Config{K: 0, M: c[0], N: c[1]})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -153,7 +154,7 @@ func BenchmarkTable5TwoLevel(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("1-%d-(%d,%d)", k, c[0], c[1]), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := system.Run(data, system.Config{K: k, M: c[0], N: c[1]})
+				res, err := service.Run(data, service.Config{K: k, M: c[0], N: c[1]})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -173,7 +174,7 @@ func BenchmarkFig7Breakdown(b *testing.B) {
 		cfg := cfg
 		b.Run(fmt.Sprintf("1-%d-(%d,%d)", cfg.k, cfg.m, cfg.n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := system.Run(data, system.Config{K: cfg.k, M: cfg.m, N: cfg.n})
+				res, err := service.Run(data, service.Config{K: cfg.k, M: cfg.m, N: cfg.n})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -206,7 +207,7 @@ func BenchmarkTable6Scalability(b *testing.B) {
 		name := fmt.Sprintf("s%02d-1-%d-(%d,%d)", id, spec.K, spec.M, spec.N)
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := system.Run(data, system.Config{K: spec.K, M: spec.M, N: spec.N})
+				res, err := service.Run(data, service.Config{K: spec.K, M: spec.M, N: spec.N})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -226,7 +227,7 @@ func BenchmarkTable6Scalability(b *testing.B) {
 func BenchmarkFig9Bandwidth(b *testing.B) {
 	data := benchStream(b, 13)
 	for i := 0; i < b.N; i++ {
-		res, err := system.Run(data, system.Config{K: 4, M: 4, N: 4})
+		res, err := service.Run(data, service.Config{K: 4, M: 4, N: 4})
 		if err != nil {
 			b.Fatal(err)
 		}

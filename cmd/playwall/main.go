@@ -136,7 +136,7 @@ func main() {
 		if (*role == "splitter" || *role == "decoder") && *connect == "" {
 			log.Fatalf("playwall: -role %s requires -connect <hub address>", *role)
 		}
-		nodeCfg := system.Config{K: *k, M: *m, N: *n, Overlap: *overlap, Pooled: *pooled, SplitWorkers: *splitW}
+		nodeCfg := service.Config{K: *k, M: *m, N: *n, Overlap: *overlap, Pooled: *pooled, SplitWorkers: *splitW}
 		if *ftRecover {
 			nodeCfg.Recovery.Enabled = true
 		}
@@ -157,7 +157,7 @@ func main() {
 			cal.TS, cal.TD, *k, cal.PredictedFPS(*k))
 	}
 
-	cfg := system.Config{K: *k, M: *m, N: *n, Overlap: *overlap, Pooled: *pooled, SplitWorkers: *splitW, CollectFrames: *verify || *snap != ""}
+	cfg := service.Config{K: *k, M: *m, N: *n, Overlap: *overlap, Pooled: *pooled, SplitWorkers: *splitW, CollectFrames: *verify || *snap != ""}
 	cfg.Fabric.BandwidthBps = *bwBps
 	cfg.Transport = *trans
 	if *ftRecover {
@@ -179,10 +179,10 @@ func main() {
 		playSessions(data, cfg, *nSess, sub, trick)
 		return
 	}
-	// Build the wall explicitly rather than through system.Run so the health
+	// Build the wall explicitly rather than through service.Run so the health
 	// state can be read before teardown — the recovery report is identical
 	// over the in-process fabric and TCP (one pipeline, DESIGN.md §6).
-	rw, err := system.NewResidentWall(cfg)
+	rw, err := service.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -314,11 +314,11 @@ func subStats(r *service.SessionResult, tiles int) string {
 // playSessions drives N concurrent copies of the stream through one resident
 // wall and reports per-session and aggregate wall-clock frame rates, plus the
 // subscription accounting when an ROI or trick mode is active.
-func playSessions(data []byte, cfg system.Config, n int, sub wall.TileSet, trick service.TrickMode) {
+func playSessions(data []byte, cfg service.Config, n int, sub wall.TileSet, trick service.TrickMode) {
 	if cfg.MaxSessions < n {
 		cfg.MaxSessions = n
 	}
-	w, err := system.NewResidentWall(cfg)
+	w, err := service.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -373,7 +373,7 @@ func playSessions(data []byte, cfg system.Config, n int, sub wall.TileSet, trick
 	wg.Wait()
 	elapsed := time.Since(start)
 	if cfg.Recovery.Enabled {
-		fmt.Printf("  recovery: %s, health %v\n", w.Service().Recovery(), w.Health())
+		fmt.Printf("  recovery: %s, health %v\n", w.Recovery(), w.Health())
 	}
 	if err := w.Close(); err != nil {
 		log.Fatal(err)
@@ -396,7 +396,7 @@ func playSessions(data []byte, cfg system.Config, n int, sub wall.TileSet, trick
 // playFleet stands up W warm walls of the requested shape behind one fleet
 // front door, routes n concurrent copies of the stream through it, and
 // reports where each session landed plus the per-wall and aggregate figures.
-func playFleet(data []byte, cfg system.Config, wallsN, n int, sub wall.TileSet, trick service.TrickMode) {
+func playFleet(data []byte, cfg service.Config, wallsN, n int, sub wall.TileSet, trick service.TrickMode) {
 	// Size each wall so the fleet's aggregate capacity covers the run: the
 	// CLI demonstrates routing spread, not admission-queue behaviour (the
 	// soak harness owns that regime).

@@ -16,7 +16,6 @@ import (
 	"tiledwall/internal/cluster"
 	"tiledwall/internal/mpeg2"
 	"tiledwall/internal/service"
-	"tiledwall/internal/system"
 )
 
 // tileDigest accumulates an order-sensitive FNV-1a digest per (session, tile)
@@ -75,7 +74,7 @@ func (d *tileDigest) print() {
 }
 
 // nodeSets returns the wall's node ids grouped by role.
-func nodeSets(cfg system.Config) (all, splitters, decoders []int) {
+func nodeSets(cfg service.Config) (all, splitters, decoders []int) {
 	nn := cfg.NumNodes()
 	for id := 0; id < nn; id++ {
 		all = append(all, id)
@@ -92,7 +91,7 @@ func nodeSets(cfg system.Config) (all, splitters, decoders []int) {
 // runNode runs one process of a multi-process wall. The root (and "all")
 // listens and feeds sessions; splitter and decoder processes dial and serve
 // until the root's clean shutdown or a transport abort.
-func runNode(role, listen, connect string, cfg system.Config, stall time.Duration, digest bool, data []byte, sessions int) {
+func runNode(role, listen, connect string, cfg service.Config, stall time.Duration, digest bool, data []byte, sessions int) {
 	all, splitters, decoders := nodeSets(cfg)
 	var local []int
 	hostsDecoders := false
@@ -119,7 +118,7 @@ func runNode(role, listen, connect string, cfg system.Config, stall time.Duratio
 		StallTimeout: stall,
 	}
 	// The service is built after the transport, so link-state events route
-	// through an indirection armed once the wall exists (cf. NewResidentWall).
+	// through an indirection armed once the wall exists.
 	var linkSink struct {
 		mu sync.Mutex
 		w  *service.Wall
@@ -159,7 +158,7 @@ func runNode(role, listen, connect string, cfg system.Config, stall time.Duratio
 		K: cfg.K, M: cfg.M, N: cfg.N, Overlap: cfg.Overlap,
 		Pooled:       cfg.Pooled,
 		SplitWorkers: cfg.SplitWorkers,
-		Transport:    tr,
+		Wiring:       tr,
 		LocalNodes:   local,
 		MaxSessions:  sessions,
 		Recovery:     cfg.Recovery,

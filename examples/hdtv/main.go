@@ -13,6 +13,7 @@ import (
 	"log"
 
 	"tiledwall/internal/catalog"
+	"tiledwall/internal/service"
 	"tiledwall/internal/system"
 )
 
@@ -34,7 +35,7 @@ func main() {
 
 	fmt.Printf("\none-level 1-(m,n) frame rates (paper Table 5, dashed lines of Fig. 6):\n")
 	for _, c := range [][2]int{{1, 1}, {2, 1}, {2, 2}, {3, 2}, {4, 2}, {4, 4}} {
-		res, err := system.Run(stream, system.Config{K: 0, M: c[0], N: c[1]})
+		res, err := service.Run(stream, service.Config{K: 0, M: c[0], N: c[1]})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -11,7 +11,7 @@ import (
 
 	"tiledwall/internal/encoder"
 	"tiledwall/internal/mpeg2"
-	"tiledwall/internal/system"
+	"tiledwall/internal/service"
 	"tiledwall/internal/video"
 )
 
@@ -53,7 +53,7 @@ func main() {
 
 	// 3. Parallel decode on a 1-2-(2,2) hierarchy: one root splitter, two
 	// second-level splitters, four tile decoders — 7 simulated PCs.
-	res, err := system.Run(stream, system.Config{K: 2, M: 2, N: 2, CollectFrames: true})
+	res, err := service.Run(stream, service.Config{K: 2, M: 2, N: 2, CollectFrames: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 
 	"tiledwall/internal/catalog"
 	"tiledwall/internal/metrics"
-	"tiledwall/internal/system"
+	"tiledwall/internal/service"
 )
 
 func main() {
@@ -33,8 +33,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	cfg := system.Config{K: 4, M: 4, N: 4, Overlap: *overlap}
-	res, err := system.Run(stream, cfg)
+	cfg := service.Config{K: 4, M: 4, N: 4, Overlap: *overlap}
+	res, err := service.Run(stream, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

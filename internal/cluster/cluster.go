@@ -368,42 +368,6 @@ func (n *Node) Send(to int, msg *Message) {
 	}
 }
 
-// TrySend is Send without backpressure: when the receiver's queue for this
-// kind is full (or the fabric is aborted) the message is discarded and false
-// is returned. Transport background traffic — retransmissions, control acks
-// — uses it so a dead or departed peer whose queue nobody drains can never
-// wedge the sender's transport loop; the caller's retry timer covers the
-// loss.
-func (n *Node) TrySend(to int, msg *Message) bool {
-	f := n.fabric
-	msg.From = n.id
-	msg.To = to
-	if f.cfg.Drop != nil && f.cfg.Drop(msg) {
-		return true // lost on the wire, same as Send
-	}
-	select {
-	case <-f.done:
-		return false
-	default:
-	}
-	select {
-	case f.nodes[to].queues[msg.Kind] <- msg:
-	default:
-		return false
-	}
-	atomic.AddInt64(&f.activity, 1)
-	bytes := msg.wireBytes()
-	atomic.AddInt64(&f.stats[n.id].BytesSent, bytes)
-	atomic.AddInt64(&f.stats[n.id].MsgsSent, 1)
-	atomic.AddInt64(&f.stats[to].BytesRecv, bytes)
-	atomic.AddInt64(&f.stats[to].MsgsRecv, 1)
-	atomic.AddInt64(&f.pair[n.id*len(f.nodes)+to], bytes)
-	if msg.Session != 0 {
-		f.addSessionBytes(msg.Session, bytes)
-	}
-	return true
-}
-
 // Abort unblocks every pending Recv/Send with a nil result so node loops
 // can unwind after a peer failed. The first recorded cause wins.
 func (f *Fabric) Abort(cause error) {

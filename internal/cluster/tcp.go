@@ -1335,10 +1335,11 @@ type pump struct {
 	closed bool
 	ch     chan *Message
 	done   <-chan struct{}
+	quit   chan struct{} // closed by close: nobody receives any more
 }
 
 func newPump(done <-chan struct{}) *pump {
-	p := &pump{ch: make(chan *Message, 1), done: done}
+	p := &pump{ch: make(chan *Message, 1), done: done, quit: make(chan struct{})}
 	p.cond.L = &p.mu
 	go p.run()
 	return p
@@ -1355,7 +1356,10 @@ func (p *pump) put(m *Message) {
 
 func (p *pump) close() {
 	p.mu.Lock()
-	p.closed = true
+	if !p.closed {
+		p.closed = true
+		close(p.quit)
+	}
 	p.cond.Broadcast()
 	p.mu.Unlock()
 }
@@ -1380,6 +1384,12 @@ func (p *pump) run() {
 		select {
 		case p.ch <- m:
 		case <-p.done:
+			return
+		case <-p.quit:
+			// The transport is shut down and its node loops have exited: a
+			// message left over (a decoder's go-ahead ack no splitter will
+			// gate on again) has no reader, so drop it instead of blocking
+			// forever.
 			return
 		}
 	}

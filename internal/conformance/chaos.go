@@ -11,7 +11,7 @@ import (
 	"tiledwall/internal/metrics"
 	"tiledwall/internal/mpeg2"
 	"tiledwall/internal/recovery"
-	"tiledwall/internal/system"
+	"tiledwall/internal/service"
 	"tiledwall/internal/wall"
 )
 
@@ -45,7 +45,7 @@ type ChaosOptions struct {
 
 // ChaosResult is the outcome of one configuration under chaos.
 type ChaosResult struct {
-	Config   system.Config
+	Config   service.Config
 	Err      error
 	Recovery metrics.RecoverySnapshot
 	// ExactlyOnceViolation describes the first emission-log violation, or ""
@@ -129,7 +129,7 @@ func newChaosRunner(stream []byte, opt ChaosOptions) (*chaosRunner, error) {
 }
 
 // run executes one configuration; ci seeds the kill site.
-func (cr *chaosRunner) run(cfg system.Config, ci int) ChaosResult {
+func (cr *chaosRunner) run(cfg service.Config, ci int) ChaosResult {
 	rng := rand.New(rand.NewSource(cr.opt.Seed*1000003 + int64(ci)))
 	cfg.CollectFrames = true
 	cfg.Recovery = chaosRecoveryConfig()
@@ -145,7 +145,7 @@ func (cr *chaosRunner) run(cfg system.Config, ci int) ChaosResult {
 			KillAtPicture: out.KilledAt,
 		}
 	}
-	res, err := system.Run(cr.stream, cfg)
+	res, err := service.Run(cr.stream, cfg)
 	if err != nil {
 		out.Err = err
 		return out
@@ -165,7 +165,7 @@ func (cr *chaosRunner) run(cfg system.Config, ci int) ChaosResult {
 // RunChaosMatrix runs every configuration under seeded chaos and reports the
 // per-configuration verdicts. The serial decode error, if any, is returned
 // directly (no oracle value without a reference).
-func RunChaosMatrix(stream []byte, configs []system.Config, opt ChaosOptions) ([]ChaosResult, error) {
+func RunChaosMatrix(stream []byte, configs []service.Config, opt ChaosOptions) ([]ChaosResult, error) {
 	runner, err := newChaosRunner(stream, opt)
 	if err != nil {
 		return nil, err

@@ -7,7 +7,7 @@ import (
 
 	"tiledwall/internal/cluster"
 	"tiledwall/internal/mpeg2"
-	"tiledwall/internal/system"
+	"tiledwall/internal/service"
 	"tiledwall/internal/wall"
 )
 
@@ -94,7 +94,7 @@ func TestOracleMatrix(t *testing.T) {
 // and each session must be byte-identical to the serial reference. Two seeds
 // with different coding parameters bound the runtime; TestOracleMatrix
 // already covers the full seed sweep through the (same) session machinery
-// via system.Run.
+// via service.Run.
 func TestSessionMatrix(t *testing.T) {
 	for _, seed := range []int64{3, 11} {
 		p := ParamsForSeed(seed)
@@ -332,8 +332,8 @@ func TestCorruptionParallelPipeline(t *testing.T) {
 							t.Fatalf("kind=%s seed=%d: pipeline panicked: %v", kind, seed, r)
 						}
 					}()
-					cfg := system.Config{K: 2, M: 2, N: 2, Fabric: cluster.Config{StallTimeout: 5 * time.Second}}
-					_, err := system.Run(corrupt, cfg)
+					cfg := service.Config{K: 2, M: 2, N: 2, Fabric: cluster.Config{StallTimeout: 5 * time.Second}}
+					_, err := service.Run(corrupt, cfg)
 					_ = err // any outcome but panic/hang is acceptable
 				}()
 			}

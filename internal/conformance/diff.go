@@ -5,7 +5,7 @@ import (
 	"fmt"
 
 	"tiledwall/internal/mpeg2"
-	"tiledwall/internal/system"
+	"tiledwall/internal/service"
 	"tiledwall/internal/video"
 	"tiledwall/internal/wall"
 )
@@ -71,7 +71,7 @@ func Diff(ref []mpeg2.DecodedPicture, got []*mpeg2.PixelBuf, geo *wall.Geometry)
 
 // MatrixResult is the outcome of one parallel configuration in RunMatrix.
 type MatrixResult struct {
-	Config     system.Config
+	Config     service.Config
 	Err        error       // pipeline failure, if any
 	Divergence *Divergence // nil when bit-exact with serial
 }
@@ -93,8 +93,8 @@ func (r MatrixResult) Name() string {
 // projector-overlap geometry. Each representative shape also runs with
 // buffer/slab pooling enabled, so the zero-allocation hot path is held to
 // the same bit-exactness oracle as the allocating one.
-func DefaultMatrix() []system.Config {
-	return []system.Config{
+func DefaultMatrix() []service.Config {
+	return []service.Config{
 		{K: 0, M: 1, N: 1},
 		{K: 0, M: 2, N: 2},
 		{K: 1, M: 2, N: 1},
@@ -123,7 +123,7 @@ func DefaultMatrix() []system.Config {
 // and reports per-configuration divergence. The serial decode error, if any,
 // is returned directly: a stream the reference decoder rejects has no oracle
 // value.
-func RunMatrix(stream []byte, configs []system.Config) ([]MatrixResult, error) {
+func RunMatrix(stream []byte, configs []service.Config) ([]MatrixResult, error) {
 	dec, err := mpeg2.NewDecoder(stream)
 	if err != nil {
 		return nil, fmt.Errorf("conformance: serial parse: %w", err)
@@ -138,7 +138,7 @@ func RunMatrix(stream []byte, configs []system.Config) ([]MatrixResult, error) {
 	for _, cfg := range configs {
 		cfg.CollectFrames = true
 		mr := MatrixResult{Config: cfg}
-		res, err := system.Run(stream, cfg)
+		res, err := service.Run(stream, cfg)
 		if err != nil {
 			mr.Err = err
 		} else {

@@ -11,7 +11,6 @@ import (
 	"tiledwall/internal/metrics"
 	"tiledwall/internal/mpeg2"
 	"tiledwall/internal/service"
-	"tiledwall/internal/system"
 	"tiledwall/internal/wall"
 )
 
@@ -61,7 +60,7 @@ type ResidentSessionOutcome struct {
 
 // ResidentChaosResult is the outcome of one wall configuration under chaos.
 type ResidentChaosResult struct {
-	Config   system.Config
+	Config   service.Config
 	Sessions []ResidentSessionOutcome
 	// WallRecovery is the wall-level intervention snapshot (restarts and
 	// replays are charged to the wall, not a session).
@@ -92,7 +91,7 @@ func TypedSessionError(err error) bool {
 // RunResidentChaos soaks every configuration on one resident wall each under
 // seeded faults and reports per-session verdicts. The serial decode error, if
 // any, is returned directly.
-func RunResidentChaos(stream []byte, configs []system.Config, opt ResidentChaosOptions) ([]ResidentChaosResult, error) {
+func RunResidentChaos(stream []byte, configs []service.Config, opt ResidentChaosOptions) ([]ResidentChaosResult, error) {
 	dec, err := mpeg2.NewDecoder(stream)
 	if err != nil {
 		return nil, fmt.Errorf("conformance: serial parse: %w", err)
@@ -135,7 +134,7 @@ func RunResidentChaos(stream []byte, configs []system.Config, opt ResidentChaosO
 			}
 		}
 		res.Config = cfg
-		w, err := system.NewResidentWall(cfg)
+		w, err := service.New(cfg)
 		if err != nil {
 			res.Sessions = []ResidentSessionOutcome{{Name: "wall", Err: err}}
 			out = append(out, res)
@@ -160,7 +159,7 @@ func RunResidentChaos(stream []byte, configs []system.Config, opt ResidentChaosO
 		}
 		var wg sync.WaitGroup
 		if len(hits) > 0 {
-			if tp, ok := w.Service().Transport().(*cluster.TCPTransport); ok {
+			if tp, ok := w.Transport().(*cluster.TCPTransport); ok {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
@@ -197,7 +196,7 @@ func RunResidentChaos(stream []byte, configs []system.Config, opt ResidentChaosO
 		}
 		wg.Wait()
 		res.Sessions = outcomes
-		res.WallRecovery = w.Service().Recovery()
+		res.WallRecovery = w.Recovery()
 		res.Health = w.Health()
 		res.CloseErr = w.Close()
 		out = append(out, res)
@@ -211,8 +210,8 @@ func RunResidentChaos(stream []byte, configs []system.Config, opt ResidentChaosO
 // Pooling is armed on both the deep hierarchy and the one-level wall so the
 // slab-refcount composition with recovery (DESIGN.md §9) soaks under kills on
 // every topology shape.
-func ResidentChaosConfigs() []system.Config {
-	return []system.Config{
+func ResidentChaosConfigs() []service.Config {
+	return []service.Config{
 		{K: 2, M: 2, N: 2, Pooled: true},
 		{K: 1, M: 2, N: 1, Overlap: 8},
 		{K: 0, M: 2, N: 2, Pooled: true},
@@ -221,7 +220,7 @@ func ResidentChaosConfigs() []system.Config {
 
 // recoveryForIsolation builds a recovery-enabled wall config for the failure
 // isolation tests (no chaos plan: the fault is the stream itself).
-func recoveryForIsolation(base system.Config, transport string, sessions int) system.Config {
+func recoveryForIsolation(base service.Config, transport string, sessions int) service.Config {
 	base.CollectFrames = true
 	base.Transport = transport
 	base.Recovery = chaosRecoveryConfig()
@@ -236,7 +235,7 @@ func recoveryForIsolation(base system.Config, transport string, sessions int) sy
 // sessions on a recovery-enabled resident wall, and reports (corruptErr,
 // per-good-session divergences, wall close error). The corrupt session must
 // fail typed — or at worst degrade — without touching its siblings.
-func RunCorruptIsolation(stream []byte, base system.Config, transport string, kind CorruptionKind, seed int64) (corruptErr error, goodErrs []error, divs []*Divergence, closeErr error, err error) {
+func RunCorruptIsolation(stream []byte, base service.Config, transport string, kind CorruptionKind, seed int64) (corruptErr error, goodErrs []error, divs []*Divergence, closeErr error, err error) {
 	dec, derr := mpeg2.NewDecoder(stream)
 	if derr != nil {
 		return nil, nil, nil, nil, fmt.Errorf("conformance: serial parse: %w", derr)
@@ -248,7 +247,7 @@ func RunCorruptIsolation(stream []byte, base system.Config, transport string, ki
 	picW, picH := dec.Seq().MBWidth()*16, dec.Seq().MBHeight()*16
 	const good = 2
 	cfg := recoveryForIsolation(base, transport, good+1)
-	w, werr := system.NewResidentWall(cfg)
+	w, werr := service.New(cfg)
 	if werr != nil {
 		return nil, nil, nil, nil, werr
 	}

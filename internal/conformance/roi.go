@@ -6,7 +6,6 @@ import (
 
 	"tiledwall/internal/mpeg2"
 	"tiledwall/internal/service"
-	"tiledwall/internal/system"
 	"tiledwall/internal/video"
 	"tiledwall/internal/wall"
 )
@@ -30,7 +29,7 @@ import (
 
 // ROIResult is the outcome of one configuration × transport in RunROIMatrix.
 type ROIResult struct {
-	Config    system.Config
+	Config    service.Config
 	Transport string
 	// Tiles is the number of subscribed tiles in the final subscription, and
 	// SkippedSubPics what the splitters skipped — evidence the partial path
@@ -124,7 +123,7 @@ func cropTile(ref *mpeg2.PixelBuf, rect wall.Rect) *mpeg2.PixelBuf {
 
 // runROISession plays one partially subscribed session with a mid-stream
 // re-subscription and verifies every subscribed tile byte-for-byte.
-func runROISession(stream []byte, cfg system.Config, ref []mpeg2.DecodedPicture, geo *wall.Geometry, rng *xorshift64) (ROIResult, error) {
+func runROISession(stream []byte, cfg service.Config, ref []mpeg2.DecodedPicture, geo *wall.Geometry, rng *xorshift64) (ROIResult, error) {
 	nt := cfg.M * cfg.N
 	subA := randomTileSet(rng, nt)
 	subB := randomTileSet(rng, nt)
@@ -134,7 +133,7 @@ func runROISession(stream []byte, cfg system.Config, ref []mpeg2.DecodedPicture,
 	cfg.OnTileFrame = tap.hook
 	res := ROIResult{Config: cfg, Transport: cfg.Transport}
 
-	w, err := system.NewResidentWall(cfg)
+	w, err := service.New(cfg)
 	if err != nil {
 		return res, err
 	}
@@ -221,7 +220,7 @@ func runROISession(stream []byte, cfg system.Config, ref []mpeg2.DecodedPicture,
 // a second random subset taking over mid-stream — must emit every subscribed
 // tile byte-identically to the serial reference, no more, no less. The
 // subsets are drawn from seed, so failures reproduce.
-func RunROIMatrix(stream []byte, configs []system.Config, seed int64) ([]ROIResult, error) {
+func RunROIMatrix(stream []byte, configs []service.Config, seed int64) ([]ROIResult, error) {
 	dec, err := mpeg2.NewDecoder(stream)
 	if err != nil {
 		return nil, fmt.Errorf("conformance: serial parse: %w", err)
@@ -254,7 +253,7 @@ func RunROIMatrix(stream []byte, configs []system.Config, seed int64) ([]ROIResu
 
 // TrickResult is the outcome of one trick-play oracle run.
 type TrickResult struct {
-	Config    system.Config
+	Config    service.Config
 	Mode      string
 	Shipped   int
 	Skipped   int
@@ -279,7 +278,7 @@ func (r TrickResult) Failure() error {
 // never feed references, so anchors are unchanged by their removal), I-only
 // exactly the serial I frames. Dropped pictures must be counted, and the
 // emitted frame count must match the shipped-picture total.
-func RunTrickOracle(stream []byte, configs []system.Config) ([]TrickResult, error) {
+func RunTrickOracle(stream []byte, configs []service.Config) ([]TrickResult, error) {
 	dec, err := mpeg2.NewDecoder(stream)
 	if err != nil {
 		return nil, fmt.Errorf("conformance: serial parse: %w", err)
@@ -338,8 +337,8 @@ func RunTrickOracle(stream []byte, configs []system.Config) ([]TrickResult, erro
 
 // playTrick plays one full-subscription trick-play session and returns the
 // assembled wall frames plus the session accounting.
-func playTrick(stream []byte, cfg system.Config, mode service.TrickMode) ([]*mpeg2.PixelBuf, *service.SessionResult, error) {
-	w, err := system.NewResidentWall(cfg)
+func playTrick(stream []byte, cfg service.Config, mode service.TrickMode) ([]*mpeg2.PixelBuf, *service.SessionResult, error) {
+	w, err := service.New(cfg)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -3,7 +3,7 @@ package conformance
 import (
 	"testing"
 
-	"tiledwall/internal/system"
+	"tiledwall/internal/service"
 )
 
 // TestROIMatrix holds the subscription path to the oracle: every matrix
@@ -57,7 +57,7 @@ func TestTrickOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfgs := []system.Config{
+			cfgs := []service.Config{
 				{K: 0, M: 2, N: 2},
 				{K: 1, M: 2, N: 2},
 				{K: 2, M: 2, N: 2},

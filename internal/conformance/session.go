@@ -6,7 +6,6 @@ import (
 
 	"tiledwall/internal/mpeg2"
 	"tiledwall/internal/service"
-	"tiledwall/internal/system"
 	"tiledwall/internal/wall"
 )
 
@@ -16,7 +15,7 @@ import (
 // ragged chunks (exercising picture reassembly across arbitrary split
 // points). Every session's output must be byte-identical to the serial
 // reference — the same oracle RunMatrix holds the one-shot path to.
-func RunSessionMatrix(stream []byte, configs []system.Config, sessions int) ([]MatrixResult, error) {
+func RunSessionMatrix(stream []byte, configs []service.Config, sessions int) ([]MatrixResult, error) {
 	dec, err := mpeg2.NewDecoder(stream)
 	if err != nil {
 		return nil, fmt.Errorf("conformance: serial parse: %w", err)
@@ -57,8 +56,8 @@ func RunSessionMatrix(stream []byte, configs []system.Config, sessions int) ([]M
 
 // playSessions opens one resident wall and feeds `sessions` concurrent
 // copies of the stream, each in a different chunking pattern.
-func playSessions(stream []byte, cfg system.Config, sessions int) ([][]*mpeg2.PixelBuf, error) {
-	w, err := system.NewResidentWall(cfg)
+func playSessions(stream []byte, cfg service.Config, sessions int) ([][]*mpeg2.PixelBuf, error) {
+	w, err := service.New(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -88,7 +87,7 @@ func playSessions(stream []byte, cfg system.Config, sessions int) ([][]*mpeg2.Pi
 // playChunked feeds one session in deterministic ragged chunks whose sizes
 // depend on the session index, so concurrent sessions hit the scanner with
 // different split points (including mid-start-code splits).
-func playChunked(w *system.ResidentWall, stream []byte, idx int) ([]*mpeg2.PixelBuf, error) {
+func playChunked(w *service.Wall, stream []byte, idx int) ([]*mpeg2.PixelBuf, error) {
 	res, err := playChunkedResult(w, stream, idx)
 	if err != nil {
 		return nil, err
@@ -98,7 +97,7 @@ func playChunked(w *system.ResidentWall, stream []byte, idx int) ([]*mpeg2.Pixel
 
 // playChunkedResult is playChunked returning the full session result (the
 // chaos axes read Recovery and TileEmissions, not just frames).
-func playChunkedResult(w *system.ResidentWall, stream []byte, idx int) (*service.SessionResult, error) {
+func playChunkedResult(w *service.Wall, stream []byte, idx int) (*service.SessionResult, error) {
 	sess, err := w.Open(fmt.Sprintf("conformance-%d", idx))
 	if err != nil {
 		return nil, err

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"tiledwall/internal/mpeg2"
-	"tiledwall/internal/system"
+	"tiledwall/internal/service"
 	"tiledwall/internal/wall"
 )
 
@@ -16,7 +16,7 @@ import (
 // transports follows from byte-identity with the reference — and a failure
 // names the transport AND the first divergent picture/macroblock/tile.
 type TransportResult struct {
-	Config system.Config
+	Config service.Config
 
 	FabricErr        error
 	FabricDivergence *Divergence
@@ -62,7 +62,7 @@ func (r TransportResult) Failure() error {
 // that many concurrent ragged-chunk sessions through one resident TCP wall —
 // the wire framing, write batching and receive slab reuse under the same
 // oracle the fabric has been held to since PR 1.
-func RunTransportMatrix(stream []byte, configs []system.Config, sessions int) ([]TransportResult, error) {
+func RunTransportMatrix(stream []byte, configs []service.Config, sessions int) ([]TransportResult, error) {
 	dec, err := mpeg2.NewDecoder(stream)
 	if err != nil {
 		return nil, fmt.Errorf("conformance: serial parse: %w", err)
@@ -84,7 +84,7 @@ func RunTransportMatrix(stream []byte, configs []system.Config, sessions int) ([
 
 		fcfg := cfg
 		fcfg.Transport = "fabric"
-		if res, err := system.Run(stream, fcfg); err != nil {
+		if res, err := service.Run(stream, fcfg); err != nil {
 			tr.FabricErr = err
 		} else {
 			tr.FabricDivergence = Diff(ref, res.Frames, geo)
@@ -92,7 +92,7 @@ func RunTransportMatrix(stream []byte, configs []system.Config, sessions int) ([
 
 		tcfg := cfg
 		tcfg.Transport = "tcp"
-		if res, err := system.Run(stream, tcfg); err != nil {
+		if res, err := service.Run(stream, tcfg); err != nil {
 			tr.TCPErr = err
 		} else {
 			tr.TCPDivergence = Diff(ref, res.Frames, geo)

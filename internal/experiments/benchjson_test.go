@@ -162,3 +162,24 @@ func TestBenchJSONRoundtripAndGuard(t *testing.T) {
 		t.Fatalf("dropped system: violations %v warnings %v", v, w)
 	}
 }
+
+func TestPairedOverheadMedian(t *testing.T) {
+	ms := func(v ...int) []time.Duration {
+		out := make([]time.Duration, len(v))
+		for i, x := range v {
+			out[i] = time.Duration(x) * time.Millisecond
+		}
+		return out
+	}
+	// One pair a GC or a host stall hit hard does not move the median.
+	if got := pairedOverhead(ms(10, 10, 10, 10, 10), ms(11, 11, 11, 11, 40)); got < 0.0999 || got > 0.1001 {
+		t.Fatalf("odd pairs: overhead %.4f, want 0.10", got)
+	}
+	// Even pair counts take the mean of the middle two ratios.
+	if got := pairedOverhead(ms(10, 10, 10, 10), ms(9, 10, 12, 30)); got < 0.0999 || got > 0.1001 {
+		t.Fatalf("even pairs: overhead %.4f, want 0.10", got)
+	}
+	if got := pairedOverhead(nil, nil); got != 0 {
+		t.Fatalf("no pairs: overhead %.4f, want 0", got)
+	}
+}

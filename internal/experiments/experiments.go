@@ -19,6 +19,7 @@ import (
 	"tiledwall/internal/catalog"
 	"tiledwall/internal/metrics"
 	"tiledwall/internal/mpeg2"
+	"tiledwall/internal/service"
 	"tiledwall/internal/system"
 )
 
@@ -158,7 +159,7 @@ func Table5(streamID int, o Options) (oneLevel, twoLevel []ScalingPoint, err err
 	for _, c := range Table5Configs {
 		m, n := c[0], c[1]
 		fmt.Fprintf(o.Log, "table5: stream %d one-level 1-(%d,%d)\n", streamID, m, n)
-		res, err := system.Run(data, system.Config{K: 0, M: m, N: n})
+		res, err := service.Run(data, service.Config{K: 0, M: m, N: n})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -173,7 +174,7 @@ func Table5(streamID int, o Options) (oneLevel, twoLevel []ScalingPoint, err err
 			k = 1
 		}
 		fmt.Fprintf(o.Log, "table5: stream %d two-level 1-%d-(%d,%d) (ts=%v td=%v)\n", streamID, k, m, n, cal.TS, cal.TD)
-		res, err = system.Run(data, system.Config{K: k, M: m, N: n})
+		res, err = service.Run(data, service.Config{K: k, M: m, N: n})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -209,7 +210,7 @@ func Fig7(streamID, k, m, n int, o Options) ([]BreakdownRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := system.Run(data, system.Config{K: k, M: m, N: n})
+	res, err := service.Run(data, service.Config{K: k, M: m, N: n})
 	if err != nil {
 		return nil, err
 	}
@@ -272,7 +273,7 @@ func Table6(o Options) ([]Table6Row, error) {
 			return nil, err
 		}
 		fmt.Fprintf(o.Log, "table6: stream %d (%s) on 1-%d-(%d,%d)\n", spec.ID, spec.Name, spec.K, spec.M, spec.N)
-		res, err := system.Run(data, system.Config{K: spec.K, M: spec.M, N: spec.N})
+		res, err := service.Run(data, service.Config{K: spec.K, M: spec.M, N: spec.N})
 		if err != nil {
 			return nil, fmt.Errorf("stream %d: %w", spec.ID, err)
 		}
@@ -319,7 +320,7 @@ func Fig9(streamID, k, m, n int, o Options) ([]BandwidthRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := system.Run(data, system.Config{K: k, M: m, N: n})
+	res, err := service.Run(data, service.Config{K: k, M: m, N: n})
 	if err != nil {
 		return nil, err
 	}

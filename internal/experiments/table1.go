@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"tiledwall/internal/metrics"
+	"tiledwall/internal/service"
 	"tiledwall/internal/system"
 )
 
@@ -68,7 +69,7 @@ func Table1(streamID int, m, n int, o Options) ([]Table1Row, error) {
 	// second-level splitter's Work time; communication is decoder-to-decoder
 	// MEI traffic; there is no pixel redistribution.
 	fmt.Fprintf(o.Log, "table1: macroblock level\n")
-	res, err := system.Run(open, system.Config{K: 1, M: m, N: n})
+	res, err := service.Run(open, service.Config{K: 1, M: m, N: n})
 	if err != nil {
 		return nil, err
 	}

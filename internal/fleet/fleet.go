@@ -276,7 +276,7 @@ func New(cfg Config) (*Fleet, error) {
 	capacity := 0
 	for i := range cfg.Walls {
 		wc := cfg.Walls[i]
-		if wc.Transport != nil || wc.LocalNodes != nil {
+		if wc.Wiring != nil || wc.LocalNodes != nil {
 			return nil, fmt.Errorf("fleet: wall %d: the fleet owns its walls' transports", i)
 		}
 		if wc.M <= 0 {

@@ -2,8 +2,7 @@
 // wall farm, byte-verified against the serial reference on a deterministic
 // sample, and a seeded wall-kill proving queued sessions re-route to the
 // survivors with typed errors only. The package is external (fleet_test) so
-// it can use the conformance stream generator, which depends on system and
-// hence on service.
+// it can use the conformance stream generator, which depends on service.
 //
 // Seeded via TILEDWALL_CHAOS_SEED like the chaos-tcp CI matrix; run short
 // mode (`go test -short`) for the capped version `go test ./...` uses.

@@ -33,6 +33,9 @@ type Config struct {
 	// OnFrame, when non-nil, receives a copy of the tile's decoded pixels in
 	// display order (outside the measured path; used for verification).
 	OnFrame func(displayIdx int, tile int, buf *mpeg2.PixelBuf)
+	// OnEmit, when non-nil, is told of every display-order emission, before
+	// OnFrame and without copying any pixels.
+	OnEmit func(displayIdx int, tile int)
 
 	// UnbatchedSends ships every exchanged macroblock as its own message
 	// instead of one bundle per peer per picture. Ablation knob: quantifies
@@ -352,6 +355,9 @@ func (d *Decoder) decodePicture(sp *subpic.SubPicture) error {
 // may Release it for reuse.
 func (d *Decoder) emitFrame(picIndex int, buf *mpeg2.PixelBuf) {
 	d.displayCount++
+	if d.cfg.OnEmit != nil {
+		d.cfg.OnEmit(picIndex, d.cfg.Tile)
+	}
 	if d.cfg.OnFrame == nil {
 		return
 	}

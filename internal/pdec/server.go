@@ -30,6 +30,9 @@ type ServeConfig struct {
 	// OnFrame receives decoded tile frames in display order, per session
 	// (nil when frames are not collected).
 	OnFrame func(session, displayIdx, tile int, buf *mpeg2.PixelBuf)
+	// OnEmit is told of every emission, per session, without a pixel copy
+	// (nil when nobody tracks emissions).
+	OnEmit func(session, displayIdx, tile int)
 	// OnResult receives the session's decode result when it completes on
 	// this tile, before the drain ack is sent to the root.
 	OnResult func(session, tile int, res *Result)
@@ -261,6 +264,13 @@ func (srv *server) open(msg *cluster.Message) error {
 			srv.cfg.OnFrame(sess, displayIdx, tile, buf)
 		}
 	}
+	var onEmit func(int, int)
+	if srv.cfg.OnEmit != nil {
+		sess := msg.Session
+		onEmit = func(displayIdx, tile int) {
+			srv.cfg.OnEmit(sess, displayIdx, tile)
+		}
+	}
 	dcfg := Config{
 		Seq:            seq,
 		Geo:            geo,
@@ -268,6 +278,7 @@ func (srv *server) open(msg *cluster.Message) error {
 		HaloPx:         HaloForFCode(srv.cfg.MaxFCode),
 		TileNode:       srv.cfg.TileNode,
 		OnFrame:        onFrame,
+		OnEmit:         onEmit,
 		UnbatchedSends: srv.cfg.UnbatchedSends,
 		Pooled:         srv.cfg.Pooled,
 	}

@@ -1,4 +1,7 @@
-package system
+// Kill/restart properties of the one-shot Run: every configuration of the
+// recovery-enabled wall keeps exactly-once, bit-exact output through
+// injected decoder and splitter crashes.
+package service_test
 
 import (
 	"fmt"
@@ -10,9 +13,49 @@ import (
 	"time"
 
 	"tiledwall/internal/cluster"
+	"tiledwall/internal/encoder"
+	"tiledwall/internal/mpeg2"
 	"tiledwall/internal/recovery"
+	"tiledwall/internal/service"
 	"tiledwall/internal/video"
 )
+
+// propertySeed is fixed so CI is deterministic; the chaos matrix offsets it
+// through TILEDWALL_CHAOS_SEED.
+const propertySeed = 1977
+
+// makeStream encodes a deterministic synthetic clip.
+func makeStream(t testing.TB, kind video.SceneKind, w, h, frames int) []byte {
+	t.Helper()
+	cfg := encoder.Config{Width: w, Height: h, GOPSize: 6, BSpacing: 3, InitialQScale: 6}
+	src := video.NewSource(kind, w, h, 11)
+	e, err := encoder.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < frames; i++ {
+		if err := e.Push(src.Frame(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return e.Bytes()
+}
+
+func serialFrames(t testing.TB, stream []byte) []mpeg2.DecodedPicture {
+	t.Helper()
+	dec, err := mpeg2.NewDecoder(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pics, err := dec.DecodeAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pics
+}
 
 // recoverySeed drives the seeded fault-injection sweeps. Defaults to the
 // deterministic propertySeed; the CI chaos matrix overrides it per job via
@@ -43,7 +86,7 @@ func testRecoveryConfig() recovery.Config {
 
 // checkExactlyOnce asserts the chaos-mode delivery guarantee: every tile
 // emitted every picture index exactly once.
-func checkExactlyOnce(t *testing.T, name string, res *Result, pictures int) {
+func checkExactlyOnce(t *testing.T, name string, res *service.Result, pictures int) {
 	t.Helper()
 	if len(res.TileEmissions) == 0 {
 		t.Fatalf("%s: no emission log", name)
@@ -68,7 +111,7 @@ func checkExactlyOnce(t *testing.T, name string, res *Result, pictures int) {
 func TestRecoveryFaultFreeBitExact(t *testing.T) {
 	stream := makeStream(t, video.SceneFilm, 192, 128, 12)
 	ref := serialFrames(t, stream)
-	for _, cfg := range []Config{
+	for _, cfg := range []service.Config{
 		{K: 0, M: 2, N: 1},
 		{K: 2, M: 2, N: 2},
 		{K: 2, M: 2, N: 2, Pooled: true},
@@ -78,7 +121,7 @@ func TestRecoveryFaultFreeBitExact(t *testing.T) {
 		cfg.Recovery = testRecoveryConfig()
 		cfg.Fabric = cluster.Config{StallTimeout: 10 * time.Second}
 		name := fmt.Sprintf("1-%d-(%d,%d) pooled=%v", cfg.K, cfg.M, cfg.N, cfg.Pooled)
-		res, err := Run(stream, cfg)
+		res, err := service.Run(stream, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -97,6 +140,31 @@ func TestRecoveryFaultFreeBitExact(t *testing.T) {
 	}
 }
 
+// TestRecoveryEmissionsWithoutFrameConsumer: a recovery wall that neither
+// collects frames nor has a display hook still logs every tile emission
+// exactly once — the log comes from the decoders' emission notice, not from
+// a per-tile pixel copy nobody reads.
+func TestRecoveryEmissionsWithoutFrameConsumer(t *testing.T) {
+	stream := makeStream(t, video.SceneFilm, 192, 128, 12)
+	pictures := len(serialFrames(t, stream))
+	for _, cfg := range []service.Config{
+		{K: 2, M: 2, N: 2},
+		{K: 2, M: 2, N: 2, Pooled: true},
+	} {
+		cfg.Recovery = testRecoveryConfig()
+		cfg.Fabric = cluster.Config{StallTimeout: 10 * time.Second}
+		name := fmt.Sprintf("1-%d-(%d,%d) pooled=%v", cfg.K, cfg.M, cfg.N, cfg.Pooled)
+		res, err := service.Run(stream, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(res.Frames) != 0 {
+			t.Fatalf("%s: %d frames collected without CollectFrames", name, len(res.Frames))
+		}
+		checkExactlyOnce(t, name, res, pictures)
+	}
+}
+
 // TestRecoveryDecoderKill: a decoder crash mid-GOP is detected by lease
 // expiry, the node is respawned, retained sub-pictures are replayed, and
 // every picture index is still emitted exactly once on every tile.
@@ -104,21 +172,21 @@ func TestRecoveryDecoderKill(t *testing.T) {
 	stream := makeStream(t, video.SceneFilm, 192, 128, 12)
 	ref := serialFrames(t, stream)
 	for _, tc := range []struct {
-		cfg  Config
+		cfg  service.Config
 		tile int
 		pic  int
 	}{
-		{Config{K: 0, M: 2, N: 1}, 1, 3},
-		{Config{K: 2, M: 2, N: 2}, 2, 4},
-		{Config{K: 1, M: 2, N: 2}, 0, 7},
-		{Config{K: 2, M: 2, N: 2, Pooled: true}, 2, 4},
+		{service.Config{K: 0, M: 2, N: 1}, 1, 3},
+		{service.Config{K: 2, M: 2, N: 2}, 2, 4},
+		{service.Config{K: 1, M: 2, N: 2}, 0, 7},
+		{service.Config{K: 2, M: 2, N: 2, Pooled: true}, 2, 4},
 	} {
 		cfg := tc.cfg
 		cfg.Recovery = testRecoveryConfig()
 		cfg.Chaos = recovery.ChaosPlan{KillDecoder: true, DecoderTile: tc.tile, KillAtPicture: tc.pic}
 		cfg.Fabric = cluster.Config{StallTimeout: 10 * time.Second}
 		name := fmt.Sprintf("1-%d-(%d,%d) kill tile %d at pic %d", cfg.K, cfg.M, cfg.N, tc.tile, tc.pic)
-		res, err := Run(stream, cfg)
+		res, err := service.Run(stream, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -136,22 +204,22 @@ func TestRecoverySplitterKill(t *testing.T) {
 	stream := makeStream(t, video.SceneFilm, 192, 128, 12)
 	ref := serialFrames(t, stream)
 	for _, tc := range []struct {
-		cfg Config
+		cfg service.Config
 		idx int
 		pic int
 	}{
 		// Round-robin: splitter idx handles pictures where pic % K == idx,
 		// so the kill picture must be on the target's schedule.
-		{Config{K: 2, M: 2, N: 2}, 1, 3},
-		{Config{K: 3, M: 2, N: 1}, 0, 6},
-		{Config{K: 2, M: 2, N: 2, Pooled: true}, 1, 3},
+		{service.Config{K: 2, M: 2, N: 2}, 1, 3},
+		{service.Config{K: 3, M: 2, N: 1}, 0, 6},
+		{service.Config{K: 2, M: 2, N: 2, Pooled: true}, 1, 3},
 	} {
 		cfg := tc.cfg
 		cfg.Recovery = testRecoveryConfig()
 		cfg.Chaos = recovery.ChaosPlan{KillSplitter: true, SplitterIdx: tc.idx, KillAtPicture: tc.pic}
 		cfg.Fabric = cluster.Config{StallTimeout: 10 * time.Second}
 		name := fmt.Sprintf("1-%d-(%d,%d) kill splitter %d at pic %d", cfg.K, cfg.M, cfg.N, tc.idx, tc.pic)
-		res, err := Run(stream, cfg)
+		res, err := service.Run(stream, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -172,7 +240,7 @@ func TestPropertyDecoderKillContinuity(t *testing.T) {
 	seed := recoverySeed(t)
 	rng := rand.New(rand.NewSource(seed))
 	for trial := 0; trial < 5; trial++ {
-		cfg := Config{
+		cfg := service.Config{
 			K: rng.Intn(3),
 			M: 1 + rng.Intn(2),
 			N: 1 + rng.Intn(2),
@@ -184,7 +252,7 @@ func TestPropertyDecoderKillContinuity(t *testing.T) {
 		cfg.Fabric = cluster.Config{StallTimeout: 10 * time.Second}
 		name := fmt.Sprintf("trial %d: seed %d, 1-%d-(%d,%d), kill tile %d at pic %d",
 			trial, seed, cfg.K, cfg.M, cfg.N, tile, pic)
-		res, err := Run(stream, cfg)
+		res, err := service.Run(stream, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -1,18 +1,30 @@
-package splitter
+package service_test
 
 import (
 	"sync"
 	"testing"
 	"time"
 
+	"tiledwall/internal/bits"
 	"tiledwall/internal/cluster"
+	"tiledwall/internal/mpeg2"
+	"tiledwall/internal/service"
 )
 
-// pictureStream builds a synthetic elementary stream of bare picture units
-// with the given payload sizes. The filler carries no start codes, so the
-// root's scan sees exactly len(sizes) pictures.
+// pictureStream builds a synthetic elementary stream: a real sequence
+// header (16x16, one macroblock) followed by bare picture units with the
+// given payload sizes. The filler carries no start codes, so the root's scan
+// sees exactly len(sizes) pictures.
 func pictureStream(sizes []int) []byte {
-	var out []byte
+	seq := &mpeg2.SequenceHeader{
+		Width: 16, Height: 16,
+		AspectRatio: 1, FrameRateCode: 5, BitRate: 10000, VBVBufferSize: 112,
+		ChromaFormat: 1, Progressive: true,
+		IntraQ: mpeg2.DefaultIntraQuantMatrix, NonIntraQ: mpeg2.DefaultNonIntraQuantMatrix,
+	}
+	w := bits.NewWriter(64)
+	seq.Write(w)
+	out := append([]byte(nil), w.Bytes()...)
 	for _, size := range sizes {
 		out = append(out, 0, 0, 1, 0) // picture start code
 		for j := 0; j < size; j++ {
@@ -28,40 +40,61 @@ type stubRecord struct {
 	seq, nsid, size int
 }
 
-// runRootWithStubs drives RunRoot against stub second-level splitters whose
-// only behaviour is the protocol's: consume a picture, stay busy for a time
-// proportional to its size, then ack. Returns each stub's observation log.
+// runRootWithStubs drives the production root of a 1-k-(1,1) wall — only
+// node 0 is local, over an injected fabric — against stub second-level
+// splitters whose only behaviour is the protocol's: consume a picture, stay
+// busy for a time proportional to its size, then ack. On the session final
+// each stub returns its drain ack (stub 0 also the decoder's). Returns each
+// stub's observation log.
 func runRootWithStubs(t *testing.T, stream []byte, k int, dynamic bool) [][]stubRecord {
 	t.Helper()
-	fab := cluster.New(1+k, cluster.Config{})
+	cfg := service.Config{K: k, M: 1, N: 1, DynamicBalance: dynamic, LocalNodes: []int{0}}
+	fab := cluster.New(cfg.NumNodes(), cluster.Config{StallTimeout: 30 * time.Second})
 	defer fab.Shutdown()
-	nodes := make([]int, k)
-	for i := range nodes {
-		nodes[i] = 1 + i
-	}
+	cfg.Wiring = fab
+	decoder := fab.Node(1 + k)
 	logs := make([][]stubRecord, k)
 	var wg sync.WaitGroup
 	for i := 0; i < k; i++ {
 		i := i
-		node := fab.Node(nodes[i])
+		node := fab.Node(1 + i)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
 				m := node.Recv(cluster.MsgPicture)
-				if m == nil || m.Seq < 0 {
+				switch {
+				case m == nil || m.Flags&cluster.FlagShutdown != 0:
 					return
+				case m.Flags&cluster.FlagSessionFinal != 0:
+					drain := cluster.Message{Kind: cluster.MsgAck, Seq: cluster.DrainAckSeq, Session: m.Session}
+					d := drain
+					node.Send(0, &d)
+					if i == 0 {
+						decoder.Send(0, &drain)
+					}
+				case m.Flags&(cluster.FlagSessionOpen|cluster.FlagSubscribe) != 0:
+				default:
+					logs[i] = append(logs[i], stubRecord{seq: m.Seq, nsid: m.Tag, size: len(m.Payload)})
+					// Busy time scales with picture size; the ack returns the
+					// posted buffer only once the stub is free again, which is
+					// the signal the credit-based chooser reads. 2 µs/byte keeps
+					// even a light picture's busy time well above the root's
+					// own per-picture cost under the race detector.
+					time.Sleep(time.Duration(len(m.Payload)) * 2 * time.Microsecond)
+					node.Send(0, &cluster.Message{Kind: cluster.MsgAck, Seq: m.Seq, Session: m.Session})
 				}
-				logs[i] = append(logs[i], stubRecord{seq: m.Seq, nsid: m.Tag, size: len(m.Payload)})
-				// Busy time scales with picture size; the ack returns the
-				// posted buffer only once the stub is free again, which is
-				// the signal the credit-based chooser reads.
-				time.Sleep(time.Duration(len(m.Payload)) * 500 * time.Nanosecond)
-				node.Send(0, &cluster.Message{Kind: cluster.MsgAck, Seq: m.Seq})
 			}
 		}()
 	}
-	res, err := RunRoot(fab.Node(0), RootConfig{Stream: stream, SplitterNodes: nodes, Dynamic: dynamic})
+	w, err := service.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := w.Play(stream)
+	if cerr := w.Close(); err == nil {
+		err = cerr
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,8 +103,8 @@ func runRootWithStubs(t *testing.T, stream []byte, k int, dynamic bool) [][]stub
 	for i := range logs {
 		wantPics += len(logs[i])
 	}
-	if res.Pictures != wantPics {
-		t.Fatalf("root reports %d pictures, stubs saw %d", res.Pictures, wantPics)
+	if res.Root.Pictures != wantPics {
+		t.Fatalf("root reports %d pictures, stubs saw %d", res.Root.Pictures, wantPics)
 	}
 	return logs
 }

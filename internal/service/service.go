@@ -14,30 +14,53 @@ import (
 	"tiledwall/internal/splitter"
 )
 
-// Config describes a resident wall. The grid fields mirror the batch
-// system.Config; the service-only fields bound admission.
+// Config describes a 1-k-(m,n) wall. K = 0 selects the one-level 1-(m,n)
+// system in which the root itself splits at macroblock level.
 type Config struct {
 	// K is the number of second-level splitters (0 = combined root+splitter).
 	K int
 	// M, N is the decoder grid; Overlap the projector blend band in pixels.
 	M, N, Overlap int
-	// MaxFCode sizes decoder halos for the whole wall lifetime (default 3);
-	// every session's motion vectors must fit it.
+	// MaxFCode bounds the stream's motion vector range and sizes decoder
+	// halos for the whole wall lifetime (default 3, ±32 px, the encoder
+	// default); every session's motion vectors must fit it.
 	MaxFCode int
 
-	DynamicBalance    bool
-	SplitWorkers      int
+	// DynamicBalance makes the root assign pictures to the least-loaded
+	// splitter instead of round-robin (the paper's §6 future work).
+	DynamicBalance bool
+	// SplitWorkers is the slice-parallel fan-out inside every macroblock
+	// splitter (second-level and one-level combined): each picture's slices
+	// are parsed concurrently by this many goroutines, shrinking the paper's
+	// ts term on multicore hosts. 0 selects GOMAXPROCS, 1 the serial path;
+	// sub-pictures are byte-identical for every value.
+	SplitWorkers int
+	// UnbatchedExchange disables per-peer batching of MEI block messages
+	// (ablation; see pdec.Config.UnbatchedSends).
 	UnbatchedExchange bool
-	Pooled            bool
-	CollectFrames     bool
+	// Pooled recycles message slabs, pixel buffers and per-picture decode
+	// state across the pipeline, eliminating steady-state heap allocation on
+	// the decode hot path; pixels are bit-identical either way. Composes
+	// with Recovery via refcounted slab ownership (DESIGN.md §9).
+	Pooled bool
+	// CollectFrames assembles full output frames for verification (adds
+	// memory traffic outside the measured path).
+	CollectFrames bool
 
-	// Fabric configures the in-process transport built by New when Transport
-	// is nil.
+	// Fabric configures the in-process fabric (throttling, drop injection)
+	// and the stall watchdog of either built transport.
 	Fabric cluster.Config
-	// Transport, when set, supplies the wiring instead (e.g. a
-	// cluster.TCPTransport spanning processes). It must have exactly
-	// NumNodes() nodes and is not shut down by Wall.Close.
-	Transport cluster.Transport
+	// Transport names the transport New builds and Close shuts down: "" or
+	// "fabric" for the in-process fabric, "tcp" for the socket transport
+	// over loopback (every node still lives in this process, but all
+	// traffic crosses real TCP connections through a hub — the
+	// single-process form of the multi-process wall). A recovery-enabled TCP
+	// wall gets recoverable (redialing) links.
+	Transport string
+	// Wiring, when set, supplies an external transport instead of a named
+	// one (e.g. a cluster.TCPTransport spanning processes). It must have
+	// exactly NumNodes() nodes and is not shut down by Wall.Close.
+	Wiring cluster.Transport
 	// LocalNodes restricts which node loops this process runs (nil = all).
 	// A multi-process wall gives each process the same grid and transport
 	// topology but a disjoint LocalNodes subset; only the process hosting
@@ -46,7 +69,8 @@ type Config struct {
 
 	// OnTileFrame, when set, receives every decoded tile frame hosted by
 	// this process (display order per tile per session) — the display-server
-	// hook of a multi-process wall, independent of CollectFrames.
+	// hook, independent of CollectFrames, and the only per-tile output a
+	// partially subscribed session produces.
 	OnTileFrame func(session, displayIdx, tile int, buf *mpeg2.PixelBuf)
 
 	// MaxSessions bounds concurrently open sessions (default 8); Open fails
@@ -156,6 +180,8 @@ type Wall struct {
 	loadAct   atomic.Int64
 	loadPics  atomic.Int64
 	loadBytes atomic.Int64
+
+	plays atomic.Int64 // Play session name counter
 }
 
 // Load is a cheap point-in-time load snapshot of a wall, read by fleet
@@ -193,14 +219,16 @@ func New(cfg Config) (*Wall, error) {
 	if cfg.M < 1 || cfg.N < 1 || cfg.K < 0 {
 		return nil, fmt.Errorf("service: invalid grid 1-%d-(%d,%d)", cfg.K, cfg.M, cfg.N)
 	}
-	tr := cfg.Transport
-	own := false
-	if tr == nil {
-		tr = cluster.New(cfg.NumNodes(), cfg.Fabric)
-		own = true
-	} else if tr.NumNodes() != cfg.NumNodes() {
+	switch {
+	case cfg.Transport != "" && cfg.Wiring != nil:
+		return nil, fmt.Errorf("service: transport %q and an injected transport are exclusive", cfg.Transport)
+	case cfg.Transport == "tcp" && cfg.LocalNodes != nil:
+		return nil, fmt.Errorf("service: the loopback tcp transport hosts every node; LocalNodes needs an injected transport")
+	case cfg.Transport != "" && cfg.Transport != "fabric" && cfg.Transport != "tcp":
+		return nil, fmt.Errorf("service: unknown transport %q (want \"fabric\" or \"tcp\")", cfg.Transport)
+	case cfg.Wiring != nil && cfg.Wiring.NumNodes() != cfg.NumNodes():
 		return nil, fmt.Errorf("service: transport has %d nodes, grid 1-%d-(%d,%d) needs %d",
-			tr.NumNodes(), cfg.K, cfg.M, cfg.N, cfg.NumNodes())
+			cfg.Wiring.NumNodes(), cfg.K, cfg.M, cfg.N, cfg.NumNodes())
 	}
 	local := func(int) bool { return true }
 	if cfg.LocalNodes != nil {
@@ -216,8 +244,6 @@ func New(cfg Config) (*Wall, error) {
 	nTiles := cfg.M * cfg.N
 	w := &Wall{
 		cfg:      cfg,
-		tr:       tr,
-		ownTr:    own,
 		hasRoot:  local(0),
 		work:     make(chan workItem, cfg.MaxSessions*cfg.MaxInFlightPictures),
 		quit:     make(chan struct{}),
@@ -233,6 +259,22 @@ func New(cfg Config) (*Wall, error) {
 	if cfg.Recovery.Enabled {
 		w.rv = newWallRecovery(cfg.Recovery, cfg.Chaos, cfg.K, nTiles, cfg.Pooled)
 	}
+	switch {
+	case cfg.Wiring != nil:
+		w.tr = cfg.Wiring
+	case cfg.Transport == "tcp":
+		tr, err := w.listenLoopback()
+		if err != nil {
+			if w.rv != nil {
+				w.rv.sup.Close()
+			}
+			return nil, err
+		}
+		w.tr, w.ownTr = tr, true
+	default:
+		w.tr, w.ownTr = cluster.New(cfg.NumNodes(), cfg.Fabric), true
+	}
+	tr := w.tr
 
 	// Wake a Close blocked on active sessions if the transport aborts.
 	go func() {
@@ -302,6 +344,28 @@ func New(cfg Config) (*Wall, error) {
 	return w, nil
 }
 
+// listenLoopback builds the single-process TCP transport: every node local,
+// all traffic over loopback sockets through the hub. Under recovery the
+// links redial after a loss and report their state to the wall (w.rv is set
+// before any link goroutine starts).
+func (w *Wall) listenLoopback() (*cluster.TCPTransport, error) {
+	ids := make([]int, w.cfg.NumNodes())
+	for i := range ids {
+		ids[i] = i
+	}
+	tcfg := cluster.TCPConfig{
+		NumNodes:     len(ids),
+		LocalNodes:   ids,
+		Grid:         cluster.Grid{K: w.cfg.K, M: w.cfg.M, N: w.cfg.N, Overlap: w.cfg.Overlap},
+		StallTimeout: w.cfg.Fabric.StallTimeout,
+	}
+	if w.rv != nil {
+		tcfg.Recoverable = true
+		tcfg.OnLinkState = w.NoteLink
+	}
+	return cluster.ListenTCP("127.0.0.1:0", tcfg)
+}
+
 // decoderServeCfg builds one local tile decoder's serve configuration;
 // supervised incarnations add their Recovery wiring on top.
 func (w *Wall) decoderServeCfg(t int) pdec.ServeConfig {
@@ -317,10 +381,14 @@ func (w *Wall) decoderServeCfg(t int) pdec.ServeConfig {
 		Pooled:         w.cfg.Pooled,
 		OnResult:       w.onDecoderResult,
 	}
-	// Recovery always observes emissions: the registry's per-tile frontier
-	// is what a respawned decoder resumes from.
-	if w.cfg.CollectFrames || w.cfg.OnTileFrame != nil || w.rv != nil {
+	if w.cfg.CollectFrames || w.cfg.OnTileFrame != nil {
 		scfg.OnFrame = w.onFrame
+	}
+	// Recovery always observes emissions: the registry's per-tile frontier
+	// is what a respawned decoder resumes from. It needs no pixels, so a
+	// wall nobody watches pays no per-tile frame copy for it.
+	if w.rv != nil {
+		scfg.OnEmit = w.rv.noteFrame
 	}
 	return scfg
 }
@@ -403,8 +471,8 @@ func (w *Wall) retryAfterLocked() time.Duration {
 }
 
 // Close drains the wall: it waits for every open session to close, shuts the
-// node servers down, and (when the transport is owned) releases it. Returns
-// the abort cause if the pipeline failed.
+// node servers down, and releases the transport New built (an injected
+// Wiring stays up). Returns the abort cause if the pipeline failed.
 func (w *Wall) Close() error {
 	w.closeOnce.Do(func() {
 		w.mu.Lock()
@@ -424,10 +492,10 @@ func (w *Wall) Close() error {
 		if w.rv != nil {
 			w.rv.sup.Close()
 		}
+		w.closeErr = w.tr.AbortCause()
 		if w.ownTr {
 			w.tr.Shutdown()
 		}
-		w.closeErr = w.tr.AbortCause()
 	})
 	return w.closeErr
 }
@@ -458,9 +526,6 @@ func (w *Wall) onSecondResult(session, idx int, res *splitter.SecondResult) {
 }
 
 func (w *Wall) onFrame(session, displayIdx, tile int, buf *mpeg2.PixelBuf) {
-	if w.rv != nil {
-		w.rv.noteFrame(session, displayIdx, tile)
-	}
 	if w.cfg.OnTileFrame != nil {
 		w.cfg.OnTileFrame(session, displayIdx, tile, buf)
 	}

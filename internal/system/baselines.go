@@ -1,3 +1,8 @@
+// Package system holds the paper's reference points around the 1-k-(m,n)
+// wall: the coarse-granularity baseline systems of Table 1, each simulated
+// PC a goroutine attached to a cluster fabric node, and the §4.6
+// calibration of split and decode costs. The wall itself is
+// internal/service.
 package system
 
 import (
@@ -87,8 +92,8 @@ type BaselineResult struct {
 }
 
 // Modeled returns the pipeline-model throughput (pictures divided by the
-// busiest node's CPU time), comparable with Result.Modeled; see the comment
-// there and EXPERIMENTS.md for the single-core methodology.
+// busiest node's CPU time), comparable with service.SessionResult.Modeled;
+// see the comment there and EXPERIMENTS.md for the single-core methodology.
 func (r *BaselineResult) Modeled() metrics.Throughput {
 	busiest := r.SplitTime
 	for _, b := range r.DecoderBusy {
@@ -321,12 +326,7 @@ func newBaselineHarness(s *mpeg2.Stream, geo *wall.Geometry, cfg BaselineConfig)
 	var onFrame func(int, int, *mpeg2.PixelBuf)
 	if cfg.CollectFrames {
 		h.collector = newFrameCollector(geo)
-		onFrame = func(displayIdx, tile int, buf *mpeg2.PixelBuf) {
-			// The collector assumes per-tile emission order equals display
-			// order; baseline servers receive out of order, so index
-			// explicitly.
-			h.collector.onIndexedFrame(displayIdx, tile, buf)
-		}
+		onFrame = h.collector.onIndexedFrame
 	}
 	for t := 0; t < d; t++ {
 		h.servers = append(h.servers, newDisplayServer(h.fab.Node(1+t), t, geo.Tile(t), len(s.Pictures), onFrame))
@@ -973,4 +973,47 @@ func pdecHalo(fcode int) int {
 	}
 	reach := (16 << uint(fcode-1)) / 2
 	return (reach + 16 + 15) &^ 15
+}
+
+// frameCollector gathers per-tile display frames, which baseline display
+// servers receive out of order, and assembles them.
+type frameCollector struct {
+	mu    sync.Mutex
+	geo   *wall.Geometry
+	tiles [][]*mpeg2.PixelBuf // [tile][display index]
+}
+
+func newFrameCollector(geo *wall.Geometry) *frameCollector {
+	return &frameCollector{geo: geo, tiles: make([][]*mpeg2.PixelBuf, geo.NumTiles())}
+}
+
+// onIndexedFrame stores a tile frame at its display index.
+func (fc *frameCollector) onIndexedFrame(displayIdx, tile int, buf *mpeg2.PixelBuf) {
+	fc.mu.Lock()
+	for len(fc.tiles[tile]) <= displayIdx {
+		fc.tiles[tile] = append(fc.tiles[tile], nil)
+	}
+	fc.tiles[tile][displayIdx] = buf
+	fc.mu.Unlock()
+}
+
+// assembleIndexed assembles exactly total frames, requiring every slot to be
+// filled.
+func (fc *frameCollector) assembleIndexed(total int) ([]*mpeg2.PixelBuf, error) {
+	row := make([]*mpeg2.PixelBuf, len(fc.tiles))
+	var frames []*mpeg2.PixelBuf
+	for i := 0; i < total; i++ {
+		for t := range fc.tiles {
+			if i >= len(fc.tiles[t]) || fc.tiles[t][i] == nil {
+				return nil, fmt.Errorf("system: tile %d missing display frame %d", t, i)
+			}
+			row[t] = fc.tiles[t][i]
+		}
+		f, err := fc.geo.Assemble(row)
+		if err != nil {
+			return nil, err
+		}
+		frames = append(frames, f)
+	}
+	return frames, nil
 }

@@ -5,6 +5,7 @@ import (
 
 	"tiledwall/internal/encoder"
 	"tiledwall/internal/mpeg2"
+	"tiledwall/internal/service"
 	"tiledwall/internal/video"
 )
 
@@ -114,7 +115,7 @@ func TestMacroblockLevelHasNoRedistribution(t *testing.T) {
 	// The contrast Table 1 draws: the hierarchical system sends no decoded
 	// pixels at all between nodes except MEI reference macroblocks.
 	stream := makeStream(t, video.SceneFilm, 192, 128, 9)
-	res, err := Run(stream, Config{K: 1, M: 2, N: 2})
+	res, err := service.Run(stream, service.Config{K: 1, M: 2, N: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 
 	"tiledwall/internal/bits"
 	"tiledwall/internal/cluster"
+	"tiledwall/internal/service"
 	"tiledwall/internal/video"
 )
 
@@ -43,7 +44,7 @@ func TestCorruptSliceDataFailsCleanly(t *testing.T) {
 		t.Skip("corruption changed start-code structure; pattern-specific")
 	}
 
-	_, err := Run(corrupt, Config{K: 2, M: 2, N: 2})
+	_, err := service.Run(corrupt, service.Config{K: 2, M: 2, N: 2})
 	if err == nil {
 		// VLC corruption is not guaranteed to be syntactically invalid —
 		// it can decode to different but legal macroblocks. What must never
@@ -65,7 +66,7 @@ func TestTruncatedStreamFailsCleanly(t *testing.T) {
 	stream := makeStream(t, video.SceneFilm, 128, 96, 6)
 	truncated := stream[:len(stream)*2/3]
 	// The parallel system must terminate (error or short output), not hang.
-	res, err := Run(truncated, Config{K: 1, M: 2, N: 1, CollectFrames: true})
+	res, err := service.Run(truncated, service.Config{K: 1, M: 2, N: 1, CollectFrames: true})
 	if err != nil {
 		return // clean failure
 	}
@@ -76,7 +77,7 @@ func TestTruncatedStreamFailsCleanly(t *testing.T) {
 
 func TestEmptyishStreamRejected(t *testing.T) {
 	for _, data := range [][]byte{nil, {0, 0, 1}, make([]byte, 64)} {
-		if _, err := Run(data, Config{K: 1, M: 1, N: 1}); err == nil {
+		if _, err := service.Run(data, service.Config{K: 1, M: 1, N: 1}); err == nil {
 			t.Error("degenerate stream accepted")
 		}
 	}
@@ -84,10 +85,10 @@ func TestEmptyishStreamRejected(t *testing.T) {
 
 func TestBadGeometryRejected(t *testing.T) {
 	stream := makeStream(t, video.SceneFilm, 64, 48, 3)
-	if _, err := Run(stream, Config{K: 1, M: 40, N: 1}); err == nil {
+	if _, err := service.Run(stream, service.Config{K: 1, M: 40, N: 1}); err == nil {
 		t.Error("wall wider than the picture accepted")
 	}
-	if _, err := Run(stream, Config{K: 1, M: 0, N: 1}); err == nil {
+	if _, err := service.Run(stream, service.Config{K: 1, M: 0, N: 1}); err == nil {
 		t.Error("zero-tile wall accepted")
 	}
 }
@@ -96,7 +97,7 @@ func TestBadGeometryRejected(t *testing.T) {
 // (the RECV falls outside the reference window), not silently mis-decode.
 func TestTinyHaloDetected(t *testing.T) {
 	stream := makeStream(t, video.SceneFilm, 192, 128, 9)
-	_, err := Run(stream, Config{K: 1, M: 2, N: 2, MaxFCode: -1})
+	_, err := service.Run(stream, service.Config{K: 1, M: 2, N: 2, MaxFCode: -1})
 	// MaxFCode -1 clamps to fcode 1 => 32 px halo, while the stream uses
 	// fcode 3 vectors (up to 32 px reach + interpolation): boundary vectors
 	// may or may not exceed the window depending on content. Either a clean
@@ -168,7 +169,7 @@ func TestPropertyRandomConfigs(t *testing.T) {
 	ref := serialFrames(t, stream)
 	rng := rand.New(rand.NewSource(propertySeed))
 	for trial := 0; trial < 8; trial++ {
-		cfg := Config{
+		cfg := service.Config{
 			K:             rng.Intn(5),
 			M:             1 + rng.Intn(3),
 			N:             1 + rng.Intn(2),
@@ -179,7 +180,7 @@ func TestPropertyRandomConfigs(t *testing.T) {
 			cfg.Overlap = 0
 		}
 		name := fmt.Sprintf("trial %d: seed %d, 1-%d-(%d,%d)ov%d", trial, propertySeed, cfg.K, cfg.M, cfg.N, cfg.Overlap)
-		res, err := Run(stream, cfg)
+		res, err := service.Run(stream, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -207,7 +208,7 @@ func TestPropertyDroppedAcks(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		dropAt := int64(1 + rng.Intn(40)) // which ack (1-based) to start losing
 		var acks int64
-		cfg := Config{
+		cfg := service.Config{
 			K: 1 + rng.Intn(3), M: 2, N: 1 + rng.Intn(2),
 			CollectFrames: true,
 			Fabric: cluster.Config{
@@ -218,7 +219,7 @@ func TestPropertyDroppedAcks(t *testing.T) {
 			},
 		}
 		name := fmt.Sprintf("trial %d: seed %d, 1-%d-(%d,%d), drop acks from #%d", trial, propertySeed, cfg.K, cfg.M, cfg.N, dropAt)
-		res, err := Run(stream, cfg)
+		res, err := service.Run(stream, cfg)
 		if err != nil {
 			if !errors.Is(err, cluster.ErrStalled) {
 				t.Fatalf("%s: stall expected, got: %v", name, err)
@@ -251,13 +252,13 @@ func TestPropertyTruncatedPictures(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		// Cut inside the picture data region (past the sequence header).
 		cut := 64 + rng.Intn(len(stream)-64)
-		cfg := Config{
+		cfg := service.Config{
 			K: rng.Intn(3), M: 1 + rng.Intn(2), N: 1 + rng.Intn(2),
 			CollectFrames: true,
 			Fabric:        cluster.Config{StallTimeout: time.Second},
 		}
 		name := fmt.Sprintf("trial %d: seed %d, 1-%d-(%d,%d), cut at %d/%d", trial, propertySeed, cfg.K, cfg.M, cfg.N, cut, len(stream))
-		res, err := Run(stream[:cut], cfg)
+		res, err := service.Run(stream[:cut], cfg)
 		if err != nil {
 			continue // clean, typed failure
 		}
@@ -271,7 +272,7 @@ func TestPropertyTruncatedPictures(t *testing.T) {
 // slower than the busiest node implies.
 func TestModeledThroughput(t *testing.T) {
 	stream := makeStream(t, video.SceneFilm, 192, 128, 9)
-	res, err := Run(stream, Config{K: 2, M: 2, N: 2})
+	res, err := service.Run(stream, service.Config{K: 2, M: 2, N: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"tiledwall/internal/encoder"
 	"tiledwall/internal/mpeg2"
+	"tiledwall/internal/service"
 	"tiledwall/internal/video"
 )
 
@@ -49,7 +50,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	stream := makeStream(t, video.SceneFilm, 192, 128, 12)
 	ref := serialFrames(t, stream)
 
-	cases := []Config{
+	cases := []service.Config{
 		{K: 0, M: 1, N: 1},
 		{K: 0, M: 2, N: 1},
 		{K: 0, M: 2, N: 2},
@@ -64,7 +65,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 		t.Run(fmt.Sprintf("1-%d-(%d,%d)ov%d", cfg.K, cfg.M, cfg.N, cfg.Overlap), func(t *testing.T) {
 			t.Parallel()
 			cfg.CollectFrames = true
-			res, err := Run(stream, cfg)
+			res, err := service.Run(stream, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,7 +91,7 @@ func TestParallelAllScenes(t *testing.T) {
 			t.Parallel()
 			stream := makeStream(t, kind, 160, 96, 9)
 			ref := serialFrames(t, stream)
-			res, err := Run(stream, Config{K: 2, M: 2, N: 2, Overlap: 8, CollectFrames: true})
+			res, err := service.Run(stream, service.Config{K: 2, M: 2, N: 2, Overlap: 8, CollectFrames: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,7 +112,7 @@ func TestParallelAllScenes(t *testing.T) {
 // (the SPH overhead the paper reports in §5.6).
 func TestBandwidthAccounting(t *testing.T) {
 	stream := makeStream(t, video.SceneFilm, 192, 128, 9)
-	res, err := Run(stream, Config{K: 2, M: 2, N: 2})
+	res, err := service.Run(stream, service.Config{K: 2, M: 2, N: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestBandwidthAccounting(t *testing.T) {
 // Overlap replication adds more, so this test runs without overlap.
 func TestSPHOverheadBounded(t *testing.T) {
 	stream := makeStream(t, video.SceneFilm, 448, 256, 9)
-	res, err := Run(stream, Config{K: 1, M: 2, N: 2})
+	res, err := service.Run(stream, service.Config{K: 1, M: 2, N: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestSPHOverheadBounded(t *testing.T) {
 func TestOrderingAcrossSplitters(t *testing.T) {
 	stream := makeStream(t, video.SceneAnimation, 96, 64, 18)
 	for _, k := range []int{1, 2, 3, 5} {
-		res, err := Run(stream, Config{K: k, M: 2, N: 1, CollectFrames: true})
+		res, err := service.Run(stream, service.Config{K: k, M: 2, N: 1, CollectFrames: true})
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -180,9 +181,9 @@ func TestOrderingAcrossSplitters(t *testing.T) {
 // TestThrottledFabric exercises the bandwidth/latency simulation path.
 func TestThrottledFabric(t *testing.T) {
 	stream := makeStream(t, video.SceneAnimation, 96, 64, 6)
-	cfg := Config{K: 1, M: 2, N: 1, CollectFrames: true}
+	cfg := service.Config{K: 1, M: 2, N: 1, CollectFrames: true}
 	cfg.Fabric.BandwidthBps = 200e6
-	res, err := Run(stream, cfg)
+	res, err := service.Run(stream, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,10 +196,10 @@ func TestThrottledFabric(t *testing.T) {
 }
 
 func TestNumNodes(t *testing.T) {
-	if (Config{K: 4, M: 4, N: 4}).NumNodes() != 21 {
+	if (service.Config{K: 4, M: 4, N: 4}).NumNodes() != 21 {
 		t.Error("1-4-(4,4) should use 21 PCs as in the paper's abstract")
 	}
-	if (Config{K: 0, M: 2, N: 2}).NumNodes() != 5 {
+	if (service.Config{K: 0, M: 2, N: 2}).NumNodes() != 5 {
 		t.Error("1-(2,2) should use 5 PCs")
 	}
 }
@@ -209,7 +210,7 @@ func TestDynamicBalancing(t *testing.T) {
 	stream := makeStream(t, video.SceneFilm, 192, 128, 18)
 	ref := serialFrames(t, stream)
 	for _, k := range []int{2, 3, 4} {
-		res, err := Run(stream, Config{K: k, M: 2, N: 2, DynamicBalance: true, CollectFrames: true})
+		res, err := service.Run(stream, service.Config{K: k, M: 2, N: 2, DynamicBalance: true, CollectFrames: true})
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -235,7 +236,7 @@ func TestDynamicBalancing(t *testing.T) {
 func TestUnbatchedExchangeBitExact(t *testing.T) {
 	stream := makeStream(t, video.SceneFilm, 192, 128, 9)
 	ref := serialFrames(t, stream)
-	res, err := Run(stream, Config{K: 2, M: 2, N: 2, UnbatchedExchange: true, CollectFrames: true})
+	res, err := service.Run(stream, service.Config{K: 2, M: 2, N: 2, UnbatchedExchange: true, CollectFrames: true})
 	if err != nil {
 		t.Fatal(err)
 	}

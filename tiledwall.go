@@ -19,8 +19,8 @@
 //	internal/subpic      sub-pictures: SPH headers and MEI instructions
 //	internal/splitter    root + second-level splitters, bit-exact SP cutting
 //	internal/pdec        tile decoders (MEI execution, halo windows)
-//	internal/system      pipeline assembly, baselines, §4.6 calibration
-//	internal/service     resident wall service, session multiplexing
+//	internal/service     the wall: pipeline assembly, sessions, recovery
+//	internal/system      Table 1 baselines, §4.6 calibration
 //	internal/experiments the Table/Figure regeneration harness
 //
 // Quick start (see examples/quickstart for the runnable version):
@@ -57,20 +57,20 @@ var (
 )
 
 // RecoveryConfig tunes the fault-tolerance layer (WallConfig.Recovery):
-// heartbeat leases, retransmission backoff, the per-picture concealment
-// deadline, and the restart budget. The zero value leaves recovery off;
-// setting Enabled with zero fields picks sensible defaults.
+// heartbeat leases, the per-picture concealment deadline, and the restart
+// budget. The zero value leaves recovery off; setting Enabled with zero
+// fields picks sensible defaults.
 type RecoveryConfig = recovery.Config
 
 // RecoverySnapshot reports the fault-tolerance interventions of a run
-// (WallResult.Recovery): retransmits, restarts, replays, concealments.
+// (WallResult.Recovery): restarts, replays, concealments, ack timeouts.
 type RecoverySnapshot = metrics.RecoverySnapshot
 
 // WallConfig selects a 1-k-(m,n) configuration (K = 0 for one-level).
-type WallConfig = system.Config
+type WallConfig = service.Config
 
 // WallResult reports a pipeline run.
-type WallResult = system.Result
+type WallResult = service.Result
 
 // GenOptions controls catalogue stream generation.
 type GenOptions = catalog.GenOptions
@@ -92,7 +92,7 @@ func GenerateStream(id int, opts GenOptions) ([]byte, error) {
 
 // Play decodes an MPEG-2 elementary stream on a simulated tiled wall.
 func Play(stream []byte, cfg WallConfig) (*WallResult, error) {
-	return system.Run(stream, cfg)
+	return service.Run(stream, cfg)
 }
 
 // ErrTooManySessions is returned by Wall.Open/Wall.Play when the wall's
@@ -139,11 +139,12 @@ const (
 
 // Wall is a resident decoding service: the pipeline is built once by NewWall
 // and serves any number of streams — sequentially or concurrently — until
-// Close. Play on a warm wall skips the per-run pipeline construction that
+// Close. Wall.Play decodes one complete stream as one session; Wall.Open
+// starts a session for incremental feeding (Session.Feed accepts chunks
+// split at arbitrary byte boundaries, Session.Close drains and reports).
+// Play on a warm wall skips the per-run pipeline construction that
 // dominates short batch runs.
-type Wall struct {
-	w *system.ResidentWall
-}
+type Wall = service.Wall
 
 // Session is an incrementally-fed stream on a resident wall (Wall.Open).
 type Session = service.Session
@@ -187,29 +188,7 @@ type SubscriptionEvent = service.SubscriptionEvent
 // (replay + concealment), a corrupt stream fails only its own session
 // (ErrSessionFailed), faults past the budget disrupt rather than hang
 // (ErrSessionDisrupted), and Wall.Health reports the state machine.
-func NewWall(cfg WallConfig) (*Wall, error) {
-	w, err := system.NewResidentWall(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Wall{w: w}, nil
-}
-
-// Play decodes one complete stream as one session on the resident wall.
-// Safe to call from concurrent goroutines, up to the wall's MaxSessions.
-func (w *Wall) Play(stream []byte) (*WallResult, error) { return w.w.Play(stream) }
-
-// Open starts a session for incremental feeding: Session.Feed accepts chunks
-// split at arbitrary byte boundaries, Session.Close drains and reports.
-func (w *Wall) Open(name string) (*Session, error) { return w.w.Open(name) }
-
-// Close drains open sessions, shuts the pipeline down, and reports the abort
-// cause if any node failed.
-func (w *Wall) Close() error { return w.w.Close() }
-
-// Health reports the wall's fault-tolerance state (always Healthy when
-// Recovery is disabled).
-func (w *Wall) Health() Health { return w.w.Health() }
+func NewWall(cfg WallConfig) (*Wall, error) { return service.New(cfg) }
 
 // Decode runs the serial reference decoder, returning pictures in display
 // order.
